@@ -2,8 +2,8 @@
 
 Instance files are JSON objects {"set_sizes", "modalities", "scores",
 optional "metadata"} where scores is a list of {"a", "b", "s"} entries with
-global indices a < b and s holding one value per modality.  All-0.5 score
-vectors are omitted on write since they equal the cross-set default.
+global indices a < b and s holding one value per modality.  Pairs whose
+scores equal the default (0.5 across sets, 0 within a set) are not stored.
 Result files carry clusters, both objective values, the convergence flag, a
 continuation trace and the effective solver configuration; runs are
 byte-reproducible for a fixed seed.
@@ -31,7 +31,7 @@ from .core import (Assignment, InfeasibleAssignmentError, Instance,
                    check_cycle_consistency, check_feasible,
                    clusters_from_assignment, pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
-from .relax import build_relaxation, relaxed_objective
+from .relax import build_relaxation, frobenius_objective, relaxed_objective
 from .solver import SolverConfig, SolverResult, solve
 from .synth import GroundTruth, SynthConfig, derive_seed, generate
 
@@ -40,9 +40,9 @@ SCORE_FIELDS = {"a", "b", "s"}
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 TRUTH_FIELDS = {"set_sizes", "labels"}
+VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 
-_SOLVER_FLAGS = ("d_init", "d_growth", "d_max", "armijo_sigma", "armijo_beta",
-                 "step_init", "inner_tol", "max_inner_iters", "binary_tol")
+_SOLVER_FLAGS = tuple(f for f in SolverConfig.__dataclass_fields__ if f != "rng_seed")
 
 
 class FileFormatError(ValueError):
@@ -118,10 +118,8 @@ def read_instance(path: str | Path) -> Instance:
 
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
-    default = (0.5,) * instance.modality_count
     entries = [{"a": a, "b": b, "s": list(vec)}
-               for (a, b), vec in sorted(instance.scores.items())
-               if vec != default]
+               for (a, b), vec in sorted(instance.scores.items())]
     payload: dict[str, Any] = {
         "set_sizes": list(instance.set_sizes),
         "modalities": instance.modality_count,
@@ -178,6 +176,12 @@ def read_result(path: str | Path) -> dict:
             isinstance(c, list) and all(isinstance(x, int) for x in c)
             for c in clusters):
         raise FileFormatError(f"{path}: clusters: expected lists of integers")
+    trace = data.get("trace", [])
+    numbers = [data[k] for k in ("relaxed_value", "frobenius_value") if k in data]
+    if (not isinstance(trace, list) or not all(isinstance(s, dict) for s in trace)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in numbers + [s.get("d") for s in trace])):
+        raise FileFormatError(f"{path}: objective values and trace d must be numbers")
     return data
 
 
@@ -322,6 +326,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not check_cycle_consistency(pairwise_from_assignment(assignment)):
         print("pairwise matches are not cycle consistent")
         return 1
+    # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
+    d_final = (result.get("trace") or [{"d": 0.0}])[-1]["d"]
+    recompute = {
+        "frobenius_value": lambda: frobenius_objective(assignment.entries, instance),
+        "relaxed_value": lambda: relaxed_objective(
+            assignment.entries, build_relaxation(instance), d_final),
+    }
+    for name in [n for n in recompute if n in result]:
+        reported, value = result[name], recompute[name]()
+        if not abs(reported - value) <= VALUE_RTOL * max(1.0, abs(reported), abs(value)):
+            print(f"{name} {reported!r} does not match the recomputed {value!r}")
+            return 1
     print("ok: clusters are feasible and cycle consistent")
     return 0
 
@@ -342,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--d-init", dest="d_init", type=float)
     p_solve.add_argument("--d-growth", dest="d_growth", type=float)
     p_solve.add_argument("--d-max", dest="d_max", type=float)
-    p_solve.add_argument("--armijo-sigma", dest="armijo_sigma", type=float)
-    p_solve.add_argument("--armijo-beta", dest="armijo_beta", type=float)
-    p_solve.add_argument("--step-init", dest="step_init", type=float)
     p_solve.add_argument("--inner-tol", dest="inner_tol", type=float)
     p_solve.add_argument("--max-inner-iters", dest="max_inner_iters", type=int)
     p_solve.add_argument("--binary-tol", dest="binary_tol", type=float)

@@ -25,13 +25,12 @@ class RelaxationData:
     ``abar`` entry (a, b) sums 1 - 2*s over the pair's modality scores s, so
     an inconclusive 0.5 contributes nothing, strong similarity pulls the
     pair together (negative entry) and strong dissimilarity pushes it apart
-    (positive entry).  ``p_o`` penalizes column overlap, ``p_d`` penalizes
-    same-set co-assignment, and ``frob_const`` shifts <U U^T, abar> back to
-    the original least-squares value on binary feasible points.
+    (positive entry).  ``p_d`` penalizes same-set co-assignment, and
+    ``frob_const`` shifts <U U^T, abar> back to the original least-squares
+    value on binary feasible points.
     """
 
     abar: np.ndarray
-    p_o: np.ndarray
     p_d: np.ndarray
     frob_const: float
 
@@ -45,15 +44,14 @@ def build_relaxation(instance: Instance) -> RelaxationData:
     mats = build_modality_matrices(instance).mats
     m = instance.num_elements
     abar = instance.modality_count - 2.0 * mats.sum(axis=0)
-    p_o = np.ones((m, m)) - np.eye(m)
     p_d = np.zeros((m, m))
     for offset, size in zip(instance.set_offsets, instance.set_sizes):
         p_d[offset:offset + size, offset:offset + size] = 1.0
     p_d[np.arange(m), np.arange(m)] = 0.0
     frob_const = float((mats ** 2).sum())
-    for mat in (abar, p_o, p_d):
+    for mat in (abar, p_d):
         mat.setflags(write=False)
-    return RelaxationData(abar=abar, p_o=p_o, p_d=p_d, frob_const=frob_const)
+    return RelaxationData(abar=abar, p_d=p_d, frob_const=frob_const)
 
 
 def _check_u(U: np.ndarray, data: RelaxationData) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Rows of the iterate live in the capped simplex {x >= 0, sum(x) <= 1}.  Each
 continuation stage minimizes the relaxed objective at a fixed penalty
-weight; the weight then grows geometrically, warm-starting from the last
-iterate, until every entry sits within binary_tol of {0, 1} and the rounded
-matrix is feasible.  Snapping is therefore not rounding a fractional
-solution.  If the weight cap is reached first, a greedy repair produces a
-feasible binary fallback and the result is marked not converged.
+weight by projected gradient steps of exact length; the weight then grows
+geometrically, warm-starting from the last iterate, until every entry sits
+within binary_tol of {0, 1} and the rounded matrix is feasible.  Snapping is
+therefore not rounding a fractional solution.  If the weight cap is reached
+first, a greedy repair produces a feasible binary fallback and the result is
+marked not converged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .core import Assignment, Instance, feasibility_report
 from .relax import (RelaxationData, build_relaxation, frobenius_objective,
                     relaxed_gradient, relaxed_objective)
 
-MAX_HALVINGS = 60
+ARMIJO_SIGMA = 1e-4  # sufficient-decrease fraction of the model's slope
 STAGE_JITTER = 1e-3  # warm-start perturbation between continuation stages
 
 
@@ -32,9 +33,6 @@ class SolverConfig:
     d_init: float | None = None
     d_growth: float = 2.0
     d_max: float | None = None
-    armijo_sigma: float = 1e-4
-    armijo_beta: float = 0.5
-    step_init: float = 1.0
     inner_tol: float | None = None
     max_inner_iters: int = 1000
     binary_tol: float = 1e-3
@@ -47,12 +45,6 @@ class SolverConfig:
             raise ValueError("d_growth must exceed 1")
         if self.d_max is not None and self.d_max <= 0:
             raise ValueError("d_max must be positive")
-        if not 0 < self.armijo_sigma < 1:
-            raise ValueError("armijo_sigma must lie in (0, 1)")
-        if not 0 < self.armijo_beta < 1:
-            raise ValueError("armijo_beta must lie in (0, 1)")
-        if self.step_init <= 0:
-            raise ValueError("step_init must be positive")
         if self.inner_tol is not None and self.inner_tol <= 0:
             raise ValueError("inner_tol must be positive")
         if self.max_inner_iters < 1:
@@ -154,32 +146,27 @@ def project_row(x: np.ndarray) -> np.ndarray:
 
 
 def armijo_search(U: np.ndarray, direction: np.ndarray, data: RelaxationData,
-                  d: float, config: SolverConfig, *,
-                  f0: float | None = None,
-                  grad: np.ndarray | None = None) -> LineSearchResult:
-    """Backtracking line search along the projection arc.
-
-    Tries the full step_init first, shrinking by armijo_beta until the
-    projected trial point achieves sufficient decrease.  The decrease
-    threshold is armijo_sigma * <grad, trial - U>, measured against the
-    realized projected displacement rather than the raw step: on the box
-    boundary most of the gradient is clipped away, and a threshold scaled
-    by alpha * ||grad||^2 would reject every step the arc can actually
-    take.  Gives up after 60 shrinks; callers treat that as a
-    stationarity signal.
+                  d: float, *, f0: float, grad: np.ndarray) -> LineSearchResult:
+    """Exact step along D = direction = project(U - grad) - U, checked by
+    the Armijo rule.  U + t D for t in [0, 1] is feasible without projecting.
+    f is quadratic, so f(U + t D) = f0 + t g + t^2 q with g = <grad, D> and
+    q = f(U + D) - f0 - g; the minimizing t in [0, 1] is 1 when q <= -g / 2,
+    else -g / (2 q).  The step is accepted when f <= f0 + ARMIJO_SIGMA t g;
+    a D that is no descent direction at float precision is not accepted,
+    which callers treat as stationarity.
     """
-    if f0 is None:
-        f0 = relaxed_objective(U, data, d)
-    if grad is None:
-        grad = relaxed_gradient(U, data, d)
-    alpha = config.step_init
-    for _ in range(MAX_HALVINGS + 1):
-        trial = project(U + alpha * direction)
-        value = relaxed_objective(trial, data, d)
-        decrease = min(0.0, float((grad * (trial - U)).sum()))
-        if value <= f0 + config.armijo_sigma * decrease:
-            return LineSearchResult(alpha=alpha, point=trial, value=value, accepted=True)
-        alpha *= config.armijo_beta
+    slope = float((grad * direction).sum())
+    if slope < 0.0:
+        point = U + direction
+        value = relaxed_objective(point, data, d)
+        curvature = value - f0 - slope
+        alpha = 1.0
+        if curvature > -0.5 * slope:
+            alpha = -slope / (2.0 * curvature)
+            point = U + alpha * direction
+            value = relaxed_objective(point, data, d)
+        if value <= f0 + ARMIJO_SIGMA * alpha * slope:
+            return LineSearchResult(alpha=alpha, point=point, value=value, accepted=True)
     return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False)
 
 
@@ -187,9 +174,9 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
               config: SolverConfig) -> InnerResult:
     """Minimize the relaxed objective at fixed d from a feasible start.
 
-    Stops when the projected-gradient displacement ||project(U - grad) - U||
-    drops below inner_tol (default 1e-6 * m), when the line search stalls,
-    or after max_inner_iters steps.  The objective never increases.
+    One projection per iteration gives the search direction D =
+    project(U - grad) - U; stops when ||D|| <= inner_tol (default 1e-6 * m),
+    after max_inner_iters steps, or when no step decreases the objective.
     """
     U = project(np.asarray(U0, dtype=float))
     m = U.shape[0]
@@ -201,11 +188,12 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
         if not np.isfinite(value):
             raise FloatingPointError("relaxed objective became non-finite")
         grad = relaxed_gradient(U, data, d)
-        if float(np.linalg.norm(project(U - grad) - U)) <= tol:
+        direction = project(U - grad) - U
+        if float(np.linalg.norm(direction)) <= tol:
             break
-        step = armijo_search(U, -grad, data, d, config, f0=value, grad=grad)
+        step = armijo_search(U, direction, data, d, f0=value, grad=grad)
         if not step.accepted or step.value >= value:
-            break  # no strictly decreasing arc step exists at float precision
+            break  # no strictly decreasing step exists at float precision
         U, value = step.point, step.value
         iterations += 1
         trace.append(value)
@@ -279,8 +267,7 @@ def _basin_landscape(data: RelaxationData) -> RelaxationData:
     abar = data.abar.copy()
     np.fill_diagonal(abar, 0.0)
     abar.setflags(write=False)
-    return RelaxationData(abar=abar, p_o=data.p_o, p_d=data.p_d,
-                          frob_const=data.frob_const)
+    return RelaxationData(abar=abar, p_d=data.p_d, frob_const=data.frob_const)
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResult:

@@ -47,6 +47,18 @@ class TestInstanceIO:
         assert stored_pairs == {(0, 2)}
         assert read_instance(path) == inst
 
+    def test_within_set_half_scores_roundtrip(self, tmp_path):
+        from fusematch import Instance
+
+        # 0.5 is the default only across sets; within a set it is information
+        inst = Instance(set_sizes=(2, 1), modality_count=1,
+                        scores={(0, 1): (0.5,), (0, 2): (0.9,)})
+        path = tmp_path / "within.json"
+        write_instance(inst, path)
+        data = json.loads(path.read_text())
+        assert {(e["a"], e["b"]) for e in data["scores"]} == {(0, 1), (0, 2)}
+        assert read_instance(path) == inst
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -135,13 +147,13 @@ class TestSolveCommand:
     def test_config_file_with_flag_override(self, instance_file, tmp_path):
         inst_path, _, _, _ = instance_file
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"step_init": 0.5, "rng_seed": 3}))
+        cfg_path.write_text(json.dumps({"d_growth": 3.0, "rng_seed": 3}))
         out = tmp_path / "result.json"
         code = main(["solve", str(inst_path), "--config", str(cfg_path),
-                     "--step-init", "0.25", "--out", str(out)])
+                     "--d-growth", "1.5", "--out", str(out)])
         assert code in (0, 2)
         result = read_result(out)
-        assert result["config"]["step_init"] == 0.25
+        assert result["config"]["d_growth"] == 1.5
         assert result["config"]["rng_seed"] == 3
 
     def test_unknown_config_field_rejected(self, instance_file, tmp_path, capsys):
@@ -217,6 +229,47 @@ class TestCheckCommand:
         data["clusters"][0] = data["clusters"][0] + data["clusters"][1]
         out.write_text(json.dumps(data))
         assert main(["check", str(out), str(inst_path)]) == 1
+
+    def test_forged_objective_fails(self, tmp_path, capsys):
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        frobenius_value = data["frobenius_value"]
+        data["frobenius_value"] = -123.0
+        data["relaxed_value"] = 9e9
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), str(inst_path)]) == 1
+        assert "frobenius_value -123.0" in capsys.readouterr().out
+        data["frobenius_value"] = frobenius_value
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), str(inst_path)]) == 1
+        assert "relaxed_value 9000000000.0" in capsys.readouterr().out
+
+    def test_oracle_result_passes(self, tmp_path, capsys):
+        cfg = SynthConfig(universe_size=2, num_sets=3, noise_sigma=0.2, rng_seed=3)
+        instance, _ = generate(cfg)
+        inst_path = tmp_path / "instance.json"
+        write_instance(instance, inst_path)
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", str(inst_path), "--out", str(out)]) == 0
+        assert main(["check", str(out), str(inst_path)]) == 0
+        assert "ok:" in capsys.readouterr().out
+
+    def test_clusters_only_result_passes(self, tmp_path, capsys):
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        out.write_text(json.dumps({"clusters": data["clusters"]}))
+        capsys.readouterr()
+        assert main(["check", str(out), str(inst_path)]) == 0
+        assert capsys.readouterr().out == (
+            "ok: clusters are feasible and cycle consistent\n")
+
+    def test_non_numeric_objective_rejected(self, tmp_path, capsys):
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        data["frobenius_value"] = "0"
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), str(inst_path)]) == 1
+        assert "must be numbers" in capsys.readouterr().err
 
     def test_missing_element_fails(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)

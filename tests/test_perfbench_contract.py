@@ -1,0 +1,38 @@
+"""The benchmark's tracer rebinds names inside the package; every one of
+them must exist, so that removing a traced name fails here and not only in
+a benchmark run."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rebound_names_exist():
+    tracing = _load_tracing()
+    missing = [f"{module.__name__}.{attr}" for module, attr in tracing.REBIND
+               if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_install_and_uninstall_restore_originals():
+    tracing = _load_tracing()
+    originals = {key: getattr(*key) for key in tracing.REBIND}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (module, attr) in tracing.REBIND:
+            assert getattr(module, attr).__wrapped__ is originals[(module, attr)]
+    finally:
+        tracer.uninstall()
+    for key, original in originals.items():
+        assert getattr(*key) is original

@@ -19,7 +19,7 @@ from fusematch import (
     relaxed_objective,
     solve,
 )
-from fusematch.relax import RelaxationData, relaxed_objective
+from fusematch.relax import RelaxationData, relaxed_gradient, relaxed_objective
 from fusematch.solver import armijo_search, initialize, pgd_inner
 
 from conftest import qp_projection_oracle, random_instance
@@ -30,7 +30,6 @@ def scalar_relaxation() -> RelaxationData:
     # row-sum penalty alone, i.e. (u - 1)^2 - 1 at d = 1
     return RelaxationData(
         abar=np.zeros((1, 1)),
-        p_o=np.zeros((1, 1)),
         p_d=np.zeros((1, 1)),
         frob_const=0.0,
     )
@@ -84,40 +83,47 @@ class TestProjection:
         )
 
 
+def search_at_d1(U, direction, data):
+    return armijo_search(U, direction, data, 1.0, f0=relaxed_objective(U, data, 1.0),
+                         grad=relaxed_gradient(U, data, 1.0))
+
+
 class TestArmijo:
     def test_quadratic_accepts_full_step(self):
-        # f(u) = (u - 1)^2 - 1 from u = 0 along direction +2: the full step
-        # lands at the unconstrained minimum and satisfies the decrease test
+        # f(u) = (u - 1)^2 - 1 from u = 0: the gradient is -2, so the
+        # direction project(0 + 2) - 0 is +1 and the full step lands at the
+        # minimum u = 1
         data = scalar_relaxation()
-        cfg = SolverConfig()
         U = np.zeros((1, 1))
-        res = armijo_search(U, np.array([[2.0]]), data, 1.0, cfg)
+        res = search_at_d1(U, np.array([[1.0]]), data)
         assert res.accepted
         assert res.alpha == 1.0
         assert res.point[0, 0] == pytest.approx(1.0)
+        assert res.value == pytest.approx(-1.0)
 
     def test_step_shrinks_on_overshoot(self):
         # repulsive data term: f(u) = 3u^2 + (u - 1)^2 - 1 has its minimum
         # at u = 0.25, inside the box, so the full step from 0 overshoots
+        # and the exact step along the quadratic stops at the minimum
         data = RelaxationData(
             abar=np.array([[3.0]]),
-            p_o=np.zeros((1, 1)),
             p_d=np.zeros((1, 1)),
             frob_const=0.0,
         )
-        cfg = SolverConfig()
         U = np.zeros((1, 1))
-        res = armijo_search(U, np.array([[2.0]]), data, 1.0, cfg)
+        res = search_at_d1(U, np.array([[1.0]]), data)
         assert res.accepted
-        assert res.alpha < 1.0
-        assert relaxed_objective(res.point, data, 1.0) < 0.0
+        assert res.alpha == pytest.approx(0.25)
+        assert res.point[0, 0] == pytest.approx(0.25)
+        assert res.value == pytest.approx(-0.25)
+        assert relaxed_objective(res.point, data, 1.0) == pytest.approx(-0.25)
 
     def test_zero_direction_is_fixed_point(self):
         data = scalar_relaxation()
-        cfg = SolverConfig()
         U = np.array([[0.4]])
-        res = armijo_search(U, np.zeros((1, 1)), data, 1.0, cfg)
-        assert res.point[0, 0] == pytest.approx(0.4)
+        res = search_at_d1(U, np.zeros((1, 1)), data)
+        assert not res.accepted
+        assert res.point is U
 
 
 class TestInnerLoop:
@@ -224,13 +230,7 @@ class TestSolve:
 class TestSolverConfig:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            SolverConfig(armijo_sigma=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(armijo_beta=1.0)
-        with pytest.raises(ValueError):
             SolverConfig(d_growth=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_init=0.0)
         with pytest.raises(ValueError):
             SolverConfig(binary_tol=0.6)
 
