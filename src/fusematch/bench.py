@@ -15,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Instance, PairwiseTable, clusters_from_assignment)
+from .core import (Instance, PairwiseTable, clusters_from_assignment,
+                   co_clustered_pairs, pairwise_from_matrix)
 from .oracle import OracleConfig, solve_exact
 from .solver import SolverConfig, solve
-from .synth import (GroundTruth, MULTIMODAL_PROFILES, SynthConfig, derive_seed,
-                    generate, multimodal_suite, restrict_modalities)
+from .synth import (DEFAULT_SUITE_BASE, MULTIMODAL_PROFILES, SynthConfig,
+                    derive_seed, generate, multimodal_suite, restrict_modalities)
 
 GAP_EPSILON = 1e-9
 
@@ -60,18 +61,6 @@ class AblationRow:
     f1_mean: float
 
 
-def _pairs_from_labels(labels: Sequence[int]) -> frozenset[tuple[int, int]]:
-    groups: dict = {}
-    for idx, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(idx)
-    pairs = []
-    for members in groups.values():
-        pairs.extend((members[i], members[j])
-                     for i in range(len(members))
-                     for j in range(i + 1, len(members)))
-    return frozenset(pairs)
-
-
 def pair_metrics(predicted: frozenset[tuple[int, int]],
                  truth: frozenset[tuple[int, int]]) -> MetricsReport:
     """Metrics over explicit match-pair sets.
@@ -99,7 +88,7 @@ def precision_recall(predicted, truth) -> MetricsReport:
     if len(pred_labels) != len(true_labels):
         raise ValueError(
             f"labeling lengths differ: {len(pred_labels)} vs {len(true_labels)}")
-    return pair_metrics(_pairs_from_labels(pred_labels), _pairs_from_labels(true_labels))
+    return pair_metrics(co_clustered_pairs(pred_labels), co_clustered_pairs(true_labels))
 
 
 def optimality_gap(f_solver: float, f_oracle: float) -> float:
@@ -154,45 +143,31 @@ def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int], trials: int, *
     return rows
 
 
+def _strong_pairs(pairs: np.ndarray, scores: np.ndarray) -> frozenset[tuple[int, int]]:
+    """Stored pairs whose mean modality score exceeds 0.5."""
+    return frozenset(map(tuple, pairs[scores.mean(axis=1) > 0.5].tolist()))
+
+
 def all_pairs_matches(instance: Instance) -> frozenset[tuple[int, int]]:
     """Naive baseline: every pair whose mean modality score exceeds 0.5."""
-    return frozenset(pair for pair, vec in instance.scores.items()
-                     if float(np.mean(vec)) > 0.5)
+    return _strong_pairs(instance.pairs, instance.scores)
 
 
 def consecutive_matches(instance: Instance) -> frozenset[tuple[int, int]]:
     """Thresholding restricted to pairs from consecutive sets."""
-    set_index = instance.set_index
-    return frozenset(
-        pair for pair, vec in instance.scores.items()
-        if abs(int(set_index[pair[0]]) - int(set_index[pair[1]])) == 1
-        and float(np.mean(vec)) > 0.5)
+    sets = instance.set_index[instance.pairs]
+    adjacent = np.abs(sets[:, 0] - sets[:, 1]) == 1
+    return _strong_pairs(instance.pairs[adjacent], instance.scores[adjacent])
 
 
 def pairwise_from_matches(matches: frozenset[tuple[int, int]],
                           set_sizes: Sequence[int]) -> PairwiseTable:
     """Cross-set match matrices from a raw pair set; same-set pairs are ignored."""
-    sizes = tuple(int(s) for s in set_sizes)
-    offsets = [0]
-    for s in sizes[:-1]:
-        offsets.append(offsets[-1] + s)
-    set_index = np.repeat(np.arange(len(sizes)), sizes)
-    blocks = {}
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            blocks[(i, j)] = np.zeros((sizes[i], sizes[j]), dtype=np.int64)
-    for a, b in matches:
-        i, j = int(set_index[a]), int(set_index[b])
-        if i == j:
-            continue
-        if i > j:
-            a, b, i, j = b, a, j, i
-        blocks[(i, j)][a - offsets[i], b - offsets[j]] = 1
-    return PairwiseTable(sizes, blocks)
-
-
-def _truth_pairs(truth: GroundTruth) -> frozenset[tuple[int, int]]:
-    return _pairs_from_labels(truth.labels)
+    m = sum(int(s) for s in set_sizes)
+    match = np.zeros((m, m), dtype=np.int64)
+    a, b = np.array(sorted(matches), dtype=np.int64).reshape(-1, 2).T
+    match[a, b] = match[b, a] = 1
+    return pairwise_from_matrix(match, set_sizes)
 
 
 def ablation(trials: int, base_seed: int = 0, *,
@@ -205,7 +180,6 @@ def ablation(trials: int, base_seed: int = 0, *,
     modalities plus incremental combinations ordered by decreasing
     single-modality solver F1, mirroring a strongest-first fusion study.
     """
-    from .synth import DEFAULT_SUITE_BASE
     base = base if base is not None else DEFAULT_SUITE_BASE
     profiles = tuple(profiles) if profiles is not None else MULTIMODAL_PROFILES
     solver_cfg = solver_config if solver_config is not None else SolverConfig()
@@ -216,7 +190,7 @@ def ablation(trials: int, base_seed: int = 0, *,
     for t in range(trials):
         suite = multimodal_suite(derive_seed(base_seed, t), base=base, profiles=profiles)
         suites.append(suite)
-        truth_pairs = _truth_pairs(suite[0][1])
+        truth_pairs = co_clustered_pairs(suite[0][1].labels)
         for k in range(count):
             sub, truth = suite[k + 1]
             result = solve(sub, replace(solver_cfg, rng_seed=derive_seed(base_seed, t, k)))
@@ -230,7 +204,7 @@ def ablation(trials: int, base_seed: int = 0, *,
         solver_f1s, ap_f1s, cs_f1s = [], [], []
         for t, suite in enumerate(suites):
             fused, truth = suite[0]
-            truth_pairs = _truth_pairs(truth)
+            truth_pairs = co_clustered_pairs(truth.labels)
             sub = restrict_modalities(fused, subset)
             if len(subset) == 1:
                 solver_f1s.append(single_scores[subset[0]][t])

@@ -4,6 +4,8 @@ Instance files are JSON objects {"set_sizes", "modalities", "scores",
 optional "metadata"} where scores is a list of {"a", "b", "s"} entries with
 global indices a < b and s holding one value per modality.  Pairs whose
 scores equal the default (0.5 across sets, 0 within a set) are not stored.
+read_instance parses the list in one pass into the Instance arrays, entry i
+as row i, and leaves the score values to Instance.
 Result files carry clusters, both objective values, the convergence flag, a
 continuation trace and the effective solver configuration; runs are
 byte-reproducible for a fixed seed.
@@ -26,14 +28,17 @@ import numpy as np
 from .bench import (ablation, format_ablation_table, format_gap_table,
                     monte_carlo_gap, precision_recall, write_ablation_csv,
                     write_gap_csv)
-from .core import (Assignment, InfeasibleAssignmentError, Instance,
+# check_* and pairwise_* are not called (see cmd_check); perfbench/tracing.py rebinds
+# them, and tests/test_perfbench_contract.py guards that they stay importable
+from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F401
                    InvalidInstanceError, assignment_from_clusters,
                    check_cycle_consistency, check_feasible,
                    clusters_from_assignment, pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
 from .relax import build_relaxation, frobenius_objective, relaxed_objective
 from .solver import SolverConfig, SolverResult, solve
-from .synth import GroundTruth, SynthConfig, derive_seed, generate
+from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
+                    generate)
 
 INSTANCE_FIELDS = {"set_sizes", "modalities", "scores", "metadata"}
 SCORE_FIELDS = {"a", "b", "s"}
@@ -43,6 +48,9 @@ TRUTH_FIELDS = {"set_sizes", "labels"}
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 
 _SOLVER_FLAGS = tuple(f for f in SolverConfig.__dataclass_fields__ if f != "rng_seed")
+# sweep defaults of the bench shape flags; the ablation's are DEFAULT_SUITE_BASE
+SWEEP_SHAPE = {"universe_size": 3, "num_sets": 3, "observe_prob": 1.0,
+               "outliers": "0,1,2,3"}
 
 
 class FileFormatError(ValueError):
@@ -60,13 +68,14 @@ def _load_json(path: str | Path) -> Any:
 
 
 def _dump_json(payload: Any, path: str | Path | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:   # streamed: no second copy of the text
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _require_fields(data: dict, allowed: set, required: set, where: str) -> None:
@@ -93,33 +102,37 @@ def read_instance(path: str | Path) -> Instance:
     if not isinstance(data["scores"], list):
         raise FileFormatError(f"{path}: scores: expected a list")
     m = sum(sizes)
-    scores = {}
+    rows: dict[tuple[int, int], list] = {}   # file order
     for idx, entry in enumerate(data["scores"]):
-        where = f"{path}: scores[{idx}]"
-        _require_fields(entry, SCORE_FIELDS, SCORE_FIELDS, where)
+        if type(entry) is not dict or entry.keys() != SCORE_FIELDS:
+            _require_fields(entry, SCORE_FIELDS, SCORE_FIELDS, f"{path}: scores[{idx}]")
         a, b, vec = entry["a"], entry["b"], entry["s"]
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise FileFormatError(f"{where}: a and b must be integers")
-        if not 0 <= a < b < m:
-            raise FileFormatError(f"{where}: indices must satisfy 0 <= a < b < {m}")
-        if not isinstance(vec, list) or len(vec) != count:
-            raise FileFormatError(f"{where}.s: expected {count} values")
-        for k, x in enumerate(vec):
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or not 0 <= x <= 1:
-                raise FileFormatError(f"{where}.s[{k}]: scores must lie in [0, 1]")
-        if (a, b) in scores:
-            raise FileFormatError(f"{where}: duplicate pair ({a}, {b})")
-        scores[(a, b)] = tuple(float(x) for x in vec)
-    try:
-        return Instance(tuple(sizes), count, scores)
+        if type(a) is not int or type(b) is not int:
+            fault = "a and b must be integers"
+        elif not 0 <= a < b < m:
+            fault = f"indices must satisfy 0 <= a < b < {m}"
+        elif (type(vec) is not list or len(vec) != count
+              or not set(map(type, vec)) <= {int, float}):   # bool is not a number
+            fault = f"s: expected {count} numbers"
+        elif (a, b) in rows:
+            fault = f"duplicate pair ({a}, {b})"
+        else:
+            rows[(a, b)] = vec
+            continue
+        raise FileFormatError(f"{path}: scores[{idx}]: {fault}")
+    try:   # Instance checks the values; its messages name the scores[i] row
+        scores = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), count)
+        return Instance(tuple(sizes), count, np.array(list(rows), dtype=np.int64), scores)
+    except OverflowError as exc:
+        raise FileFormatError(f"{path}: scores: {exc}") from exc
     except InvalidInstanceError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
-    entries = [{"a": a, "b": b, "s": list(vec)}
-               for (a, b), vec in sorted(instance.scores.items())]
+    entries = [{"a": a, "b": b, "s": s}
+               for (a, b), s in zip(instance.pairs.tolist(), instance.scores.tolist())]
     payload: dict[str, Any] = {
         "set_sizes": list(instance.set_sizes),
         "modalities": instance.modality_count,
@@ -154,11 +167,13 @@ def write_truth(truth: GroundTruth, set_sizes: Sequence[int],
                 "labels": list(truth.labels)}, path)
 
 
+def _clusters(assignment: Assignment) -> list[list[int]]:
+    return [np.flatnonzero(column).tolist() for column in assignment.entries.T]
+
+
 def result_payload(result: SolverResult, config: dict) -> dict:
-    clusters = [[int(r) for r in np.flatnonzero(result.assignment.entries[:, c])]
-                for c in range(result.assignment.num_clusters)]
     return {
-        "clusters": clusters,
+        "clusters": _clusters(result.assignment),
         "relaxed_value": result.relaxed_value,
         "frobenius_value": result.frobenius_value,
         "converged": result.converged,
@@ -238,8 +253,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     result = solve_exact(instance, cfg)
     data = build_relaxation(instance)
     payload = {
-        "clusters": [[int(r) for r in np.flatnonzero(result.assignment.entries[:, c])]
-                     for c in range(result.assignment.num_clusters)],
+        "clusters": _clusters(result.assignment),
         "relaxed_value": relaxed_objective(
             result.assignment.entries.astype(float), data, 0.0),
         "frobenius_value": result.value,
@@ -273,21 +287,27 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # the shape flags default to None, so only those given override a study's base
+    given = {k: getattr(args, k) for k in SWEEP_SHAPE if getattr(args, k) is not None}
+    shape = given if args.ablation else {**SWEEP_SHAPE, **given}
+    try:
+        n_o_values = [int(x) for x in shape.pop("outliers", "").split(",") if x.strip()]
+    except ValueError as exc:
+        raise FileFormatError(f"--outliers: {exc}") from exc
     if args.ablation:
-        rows = ablation(args.trials, args.seed)
+        if len(n_o_values) > 1:
+            raise FileFormatError("--outliers: the ablation takes one outlier count")
+        if n_o_values:
+            shape["outliers_per_run"] = n_o_values[0]
+        rows = ablation(args.trials, args.seed, base=replace(DEFAULT_SUITE_BASE, **shape))
         if args.out:
             write_ablation_csv(rows, args.out)
         print(format_ablation_table(rows))
         return 0
-    try:
-        n_o_values = [int(x) for x in args.outliers.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise FileFormatError(f"--outliers: {exc}") from exc
     base = SynthConfig(
-        universe_size=args.universe_size, num_sets=args.num_sets,
-        modality_count=args.modalities, observe_prob=args.observe_prob,
-        noise_sigma=args.noise_sigma, inconclusive_rate=args.inconclusive_rate,
-        flip_rate=args.flip_rate, rng_seed=args.seed)
+        **shape, modality_count=args.modalities, noise_sigma=args.noise_sigma,
+        inconclusive_rate=args.inconclusive_rate, flip_rate=args.flip_rate,
+        rng_seed=args.seed)
     rows = monte_carlo_gap(base, n_o_values, args.trials)
     if args.out:
         write_gap_csv(rows, args.out)
@@ -319,13 +339,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     except InfeasibleAssignmentError as exc:
         print(f"infeasible clusters: {exc}")
         return 1
-    report = check_feasible(assignment.entries, instance)
-    if not report.feasible:
-        print(f"infeasible clusters: {report}")
-        return 1
-    if not check_cycle_consistency(pairwise_from_assignment(assignment)):
-        print("pairwise matches are not cycle consistent")
-        return 1
+    # feasible by the line above, and one-hot labels are cycle consistent by construction
+    # (tests/test_core.py::TestCycleConsistency::test_random_assignments_are_cycle_consistent)
     # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
     d_final = (result.get("trace") or [{"d": 0.0}])[-1]["d"]
     recompute = {
@@ -390,16 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", help="CSV output path")
     p_bench.add_argument("--ablation", action="store_true",
                          help="run the modality ablation instead of the sweep")
-    p_bench.add_argument("--universe-size", dest="universe_size", type=int, default=3)
-    p_bench.add_argument("--num-sets", dest="num_sets", type=int, default=3)
+    p_bench.add_argument("--universe-size", dest="universe_size", type=int)
+    p_bench.add_argument("--num-sets", dest="num_sets", type=int)
+    p_bench.add_argument("--observe-prob", dest="observe_prob", type=float)
     p_bench.add_argument("--modalities", type=int, default=2)
-    p_bench.add_argument("--observe-prob", dest="observe_prob", type=float, default=1.0)
     p_bench.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.15)
     p_bench.add_argument("--inconclusive-rate", dest="inconclusive_rate",
                          type=float, default=0.15)
     p_bench.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.05)
-    p_bench.add_argument("--outliers", default="0,1,2,3",
-                         help="comma-separated outlier counts")
+    p_bench.add_argument("--outliers",
+                         help="comma-separated outlier counts (one for --ablation)")
     p_bench.add_argument("--trials", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)

@@ -1,16 +1,19 @@
 """Problem data and feasibility machinery for multiway association.
 
 Elements carry global indices: the p-th element of set i sits at
-offset(i) + p where offset(i) = m_0 + ... + m_{i-1}.  An assignment is a
+offset(i) + p where offset(i) = m_0 + ... + m_{i-1}.  An instance stores its
+scores as two arrays, the element pairs (P, 2) and their per-modality
+scores (P, K); every other layer reads those arrays.  An assignment is a
 binary matrix with one row per element; rows that share a column belong to
 one cluster and are claimed to be views of the same underlying object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,24 +31,24 @@ class InfeasibleAssignmentError(ValueError):
     """An assignment breaks the one-to-one or distinctness constraints."""
 
 
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A multiway association problem.
 
-    ``scores`` maps unordered element pairs (a, b), a != b, to one score per
-    modality, each in [0, 1]: 1 is maximal similarity, 0 maximal
-    dissimilarity, 0.5 carries no information.  Pairs without a stored entry
-    default to 0.5 across sets and 0 within a set; self-similarity is
-    always 1.
+    Row i of ``pairs`` names an unordered element pair (a, b), a != b, and
+    row i of ``scores`` holds its score in each modality, each in [0, 1]:
+    1 is maximal similarity, 0 maximal dissimilarity, 0.5 carries no
+    information.  Pairs without a row default to 0.5 across sets and 0
+    within a set; self-similarity is always 1.  Construction canonicalises
+    to read-only arrays, int64 (P, 2) ``pairs`` with a < b sorted by (a, b)
+    and float64 (P, K) ``scores``: repeated rows merge and rows equal to
+    their pair's default are dropped, so equal problems compare equal.
     """
 
     set_sizes: tuple[int, ...]
     modality_count: int
-    scores: Mapping[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
+    pairs: np.ndarray = ()
+    scores: np.ndarray = ()
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.set_sizes)
@@ -54,35 +57,55 @@ class Instance:
         count = int(self.modality_count)
         if count < 1:
             raise InvalidInstanceError("modality_count must be at least 1")
-        m = sum(sizes)
-        canon: dict[tuple[int, int], tuple[float, ...]] = {}
-        for (a, b), raw in dict(self.scores).items():
-            a, b = int(a), int(b)
-            if a == b:
-                raise InvalidInstanceError(f"pair ({a}, {b}): self-pairs may not carry stored scores")
-            if not (0 <= a < m and 0 <= b < m):
-                raise InvalidInstanceError(f"pair ({a}, {b}): index out of range for {m} elements")
-            vec = tuple(float(x) for x in (raw if isinstance(raw, Iterable) else (raw,)))
-            if len(vec) != count:
-                raise InvalidInstanceError(
-                    f"pair ({a}, {b}): expected {count} modality scores, got {len(vec)}")
-            if any(not (0.0 <= x <= 1.0) for x in vec):
-                raise InvalidInstanceError(f"pair ({a}, {b}): scores must lie in [0, 1]")
-            key = _pair_key(a, b)
-            if key in canon and canon[key] != vec:
-                raise InvalidInstanceError(f"pair {key}: stored twice with conflicting scores")
-            canon[key] = vec
-        # canonical form: vectors equal to the applicable default carry no
-        # information, so equal instances compare equal after dropping them
-        set_of = np.repeat(np.arange(len(sizes)), sizes)
-        canon = {
-            (a, b): vec for (a, b), vec in canon.items()
-            if vec != (WITHIN_SET_DEFAULT if set_of[a] == set_of[b]
-                       else CROSS_SET_DEFAULT,) * count
-        }
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "modality_count", count)
-        object.__setattr__(self, "scores", canon)
+        pairs, scores = np.asarray(self.pairs), np.asarray(self.scores)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        scores = scores.reshape(0, count) if scores.size == 0 else scores
+        if (pairs.ndim != 2 or pairs.shape[1] != 2 or scores.shape != (len(pairs), count)
+                or (len(pairs) and pairs.dtype.kind not in "iu")
+                or scores.dtype.kind not in "iuf"):
+            raise InvalidInstanceError(
+                f"expected (P, 2) integer pairs and (P, {count}) numeric scores, "
+                f"got shapes {pairs.shape} and {scores.shape}")
+        pairs, scores = pairs.astype(np.int64), scores.astype(np.float64)
+        m = sum(sizes)
+        a, b = pairs.T
+        for bad, fault in (
+                (a == b, "self-pairs may not carry stored scores"),
+                ((pairs < 0).any(axis=1) | (pairs >= m).any(axis=1),
+                 f"index out of range for {m} elements"),
+                (~((scores >= 0.0) & (scores <= 1.0)).all(axis=1),   # NaN fails both
+                 "scores must lie in [0, 1]")):
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                raise InvalidInstanceError(f"scores[{i}] for pair ({a[i]}, {b[i]}): {fault}")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        lo, hi, scores = lo[order], hi[order], scores[order]
+        repeat = np.r_[False, (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
+        conflict = repeat & np.r_[False, (scores[1:] != scores[:-1]).any(axis=1)]
+        if conflict.any():
+            i = np.flatnonzero(conflict)[0]
+            raise InvalidInstanceError(
+                f"pair ({lo[i]}, {hi[i]}): stored twice with conflicting scores")
+        set_index = self.set_index
+        default = np.where(set_index[lo] == set_index[hi],
+                           WITHIN_SET_DEFAULT, CROSS_SET_DEFAULT)
+        keep = ~repeat & (scores != default[:, None]).any(axis=1)
+        pairs, scores = np.column_stack((lo[keep], hi[keep])), scores[keep]
+        for arr in (pairs, scores):
+            arr.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "scores", scores)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.set_sizes == other.set_sizes
+                and self.modality_count == other.modality_count
+                and np.array_equal(self.pairs, other.pairs)
+                and np.array_equal(self.scores, other.scores))
 
     @property
     def num_sets(self) -> int:
@@ -110,20 +133,6 @@ class Instance:
     def set_of(self, a: int) -> int:
         return int(self.set_index[a])
 
-    def score_vector(self, a: int, b: int) -> tuple[float, ...]:
-        """Stored scores of a pair, or the defaults when nothing was stored."""
-        m = self.num_elements
-        if not (0 <= a < m and 0 <= b < m):
-            raise InvalidInstanceError(f"pair ({a}, {b}): index out of range for {m} elements")
-        if a == b:
-            return (1.0,) * self.modality_count
-        stored = self.scores.get(_pair_key(a, b))
-        if stored is not None:
-            return stored
-        if self.set_of(a) == self.set_of(b):
-            return (WITHIN_SET_DEFAULT,) * self.modality_count
-        return (CROSS_SET_DEFAULT,) * self.modality_count
-
 
 @dataclass(frozen=True)
 class ModalityMatrices:
@@ -131,20 +140,14 @@ class ModalityMatrices:
 
     mats: np.ndarray  # shape (modality_count, m, m)
 
-    @property
-    def modality_count(self) -> int:
-        return self.mats.shape[0]
-
-    @property
-    def num_elements(self) -> int:
-        return self.mats.shape[1]
-
 
 def build_modality_matrices(instance: Instance) -> ModalityMatrices:
-    """Expand the sparse score table into per-modality dense matrices.
+    """Expand the stored pairs into per-modality dense matrices.
 
     Every slice is symmetric with unit diagonal; absent pairs take the
-    cross-set or within-set default.
+    cross-set or within-set default.  The package itself never forms this
+    K-by-m-by-m stack: it is the reference that tests and the benchmark
+    check the fused relaxation data against.
     """
     m, count = instance.num_elements, instance.modality_count
     mats = np.full((count, m, m), CROSS_SET_DEFAULT)
@@ -152,10 +155,8 @@ def build_modality_matrices(instance: Instance) -> ModalityMatrices:
         mats[:, offset:offset + size, offset:offset + size] = WITHIN_SET_DEFAULT
     diag = np.arange(m)
     mats[:, diag, diag] = 1.0
-    for (a, b), vec in instance.scores.items():
-        clipped = np.clip(vec, 0.0, 1.0)
-        mats[:, a, b] = clipped
-        mats[:, b, a] = clipped
+    (a, b), values = instance.pairs.T, instance.scores.T
+    mats[:, np.r_[a, b], np.r_[b, a]] = np.hstack((values, values))
     mats.setflags(write=False)
     return ModalityMatrices(mats)
 
@@ -248,14 +249,16 @@ class Assignment:
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
         """Unordered element pairs claimed to be the same object."""
-        pairs = []
-        for c in range(self.entries.shape[1]):
-            members = np.flatnonzero(self.entries[:, c])
-            pairs.extend(
-                (int(members[i]), int(members[j]))
-                for i in range(len(members))
-                for j in range(i + 1, len(members)))
-        return frozenset(pairs)
+        return co_clustered_pairs(np.argmax(self.entries, axis=1).tolist())
+
+
+def co_clustered_pairs(labels: Sequence) -> frozenset[tuple[int, int]]:
+    """Element pairs (a, b), a < b, whose labels are equal."""
+    groups: dict = {}
+    for idx, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(idx)
+    return frozenset(pair for members in groups.values()
+                     for pair in combinations(members, 2))
 
 
 @dataclass(frozen=True)
@@ -357,7 +360,7 @@ class PairwiseTable:
         return len(self.set_sizes)
 
     def has_block(self, i: int, j: int) -> bool:
-        return _pair_key(i, j) in self.blocks
+        return (min(i, j), max(i, j)) in self.blocks
 
     def block(self, i: int, j: int) -> np.ndarray:
         if i < j:
@@ -365,17 +368,19 @@ class PairwiseTable:
         return self.blocks[(j, i)].T
 
 
+def pairwise_from_matrix(match: np.ndarray, set_sizes: Sequence[int]) -> PairwiseTable:
+    """Cross-set blocks of a symmetric m-by-m binary match matrix."""
+    sizes = tuple(int(s) for s in set_sizes)
+    cut = np.cumsum((0,) + sizes)
+    return PairwiseTable(sizes, {
+        (i, j): match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]]
+        for i in range(len(sizes)) for j in range(i + 1, len(sizes))})
+
+
 def pairwise_from_assignment(assignment: Assignment) -> PairwiseTable:
     """Cross-set match matrices P_ij = U_i U_j^T induced by an assignment."""
-    sizes = assignment.set_sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    blocks = {}
-    for i in range(len(sizes)):
-        U_i = assignment.entries[offsets[i]:offsets[i + 1]]
-        for j in range(i + 1, len(sizes)):
-            U_j = assignment.entries[offsets[j]:offsets[j + 1]]
-            blocks[(i, j)] = U_i @ U_j.T
-    return PairwiseTable(sizes, blocks)
+    U = assignment.entries
+    return pairwise_from_matrix(U @ U.T, assignment.set_sizes)
 
 
 class _UnionFind:
@@ -399,42 +404,26 @@ def check_cycle_consistency(table: PairwiseTable) -> bool:
 
     Takes the union-find closure of all asserted matches and demands that
     every component is a clique in the table with at most one element per
-    set.  Raises on an incomplete table or on a block whose row or column
-    sums exceed one.
+    set, i.e. that two distinct elements share a component exactly when the
+    table matches them.  Raises on an incomplete table or on a block whose
+    row or column sums exceed one.
     """
     sizes = table.set_sizes
-    n = len(sizes)
-    offsets = [0]
-    for s in sizes[:-1]:
-        offsets.append(offsets[-1] + s)
-    for i in range(n):
-        for j in range(i + 1, n):
+    cut = np.cumsum((0,) + sizes)
+    match = np.zeros((cut[-1], cut[-1]), dtype=bool)
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
             if not table.has_block(i, j):
                 raise ValueError(f"block ({i}, {j}): missing from table")
             block = table.block(i, j)
             if (block.sum(axis=1) > 1).any() or (block.sum(axis=0) > 1).any():
                 raise ValueError(
                     f"block ({i}, {j}): row or column asserts more than one match")
-    m = sum(sizes)
-    uf = _UnionFind(m)
-    for (i, j), block in table.blocks.items():
-        for p, q in zip(*np.nonzero(block)):
-            uf.union(offsets[i] + int(p), offsets[j] + int(q))
-    components: dict[int, list[int]] = {}
-    for a in range(m):
-        components.setdefault(uf.find(a), []).append(a)
-    set_of = np.repeat(np.arange(n), sizes)
-    for members in components.values():
-        sets_seen = set()
-        for a in members:
-            s = int(set_of[a])
-            if s in sets_seen:
-                return False
-            sets_seen.add(s)
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                a, b = members[x], members[y]
-                i, j = int(set_of[a]), int(set_of[b])
-                if table.block(i, j)[a - offsets[i], b - offsets[j]] != 1:
-                    return False
-    return True
+            match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]] = block
+    uf = _UnionFind(len(match))
+    for a, b in zip(*np.nonzero(match)):
+        uf.union(int(a), int(b))
+    component = np.array([uf.find(a) for a in range(len(match))])
+    together = component[:, None] == component[None, :]
+    np.fill_diagonal(together, False)
+    return bool(np.array_equal(together, match | match.T))

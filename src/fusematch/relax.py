@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, build_modality_matrices
+from .core import Instance
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,42 @@ class RelaxationData:
         return self.abar.shape[0]
 
 
+def _fuse(instance: Instance) -> tuple[np.ndarray, float]:
+    """``abar`` and ``frob_const`` = sum_k ||S_k||_F^2 from the stored pairs:
+    defaults give abar -K on the diagonal, K within a set, 0 across sets, and
+    frob_const K per diagonal entry and K/4 per unstored ordered cross-set
+    pair; a stored pair's entries are K - 2 sum_k s_k, adding 2 sum_k s_k^2."""
+    m, count = instance.num_elements, instance.modality_count
+    set_index = instance.set_index
+    abar = np.where(set_index[:, None] == set_index[None, :], float(count), 0.0)
+    abar[np.arange(m), np.arange(m)] = -float(count)
+    (a, b), scores = instance.pairs.T, instance.scores
+    fused = count - 2.0 * scores.sum(axis=1)
+    abar[np.r_[a, b], np.r_[b, a]] = np.r_[fused, fused]
+    cross_entries = m * m - sum(s * s for s in instance.set_sizes)
+    stored_cross = 2 * int((set_index[a] != set_index[b]).sum())
+    frob_const = (count * (m + 0.25 * (cross_entries - stored_cross))
+                  + 2.0 * float((scores ** 2).sum()))
+    return abar, frob_const
+
+
 def build_relaxation(instance: Instance) -> RelaxationData:
-    """Fuse an instance's modality matrices into relaxation data."""
-    mats = build_modality_matrices(instance).mats
+    """Fuse an instance's stored pairs into relaxation data."""
+    abar, frob_const = _fuse(instance)
     m = instance.num_elements
-    abar = instance.modality_count - 2.0 * mats.sum(axis=0)
     p_d = np.zeros((m, m))
     for offset, size in zip(instance.set_offsets, instance.set_sizes):
         p_d[offset:offset + size, offset:offset + size] = 1.0
     p_d[np.arange(m), np.arange(m)] = 0.0
-    frob_const = float((mats ** 2).sum())
     for mat in (abar, p_d):
         mat.setflags(write=False)
     return RelaxationData(abar=abar, p_d=p_d, frob_const=frob_const)
 
 
-def _check_u(U: np.ndarray, data: RelaxationData) -> np.ndarray:
+def _check_u(U: np.ndarray, m: int) -> np.ndarray:
     U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != data.num_elements:
-        raise ValueError(
-            f"expected a matrix with {data.num_elements} rows, got shape {U.shape}")
+    if U.ndim != 2 or U.shape[0] != m:
+        raise ValueError(f"expected a matrix with {m} rows, got shape {U.shape}")
     return U
 
 
@@ -70,7 +86,7 @@ def relaxed_objective(U: np.ndarray, data: RelaxationData, d: float) -> float:
     the unit box it is bounded below by -m, attained exactly at binary
     feasible points, so growing d drives iterates toward feasibility.
     """
-    U = _check_u(U, data)
+    U = _check_u(U, data.num_elements)
     if (U < 0).any():
         raise ValueError("U must be nonnegative")
     if d < 0:
@@ -86,7 +102,7 @@ def relaxed_objective(U: np.ndarray, data: RelaxationData, d: float) -> float:
 
 def relaxed_gradient(U: np.ndarray, data: RelaxationData, d: float) -> np.ndarray:
     """Gradient of the relaxed objective with respect to U."""
-    U = _check_u(U, data)
+    U = _check_u(U, data.num_elements)
     if d < 0:
         raise ValueError("penalty weight must be nonnegative")
     grad = 2.0 * (data.abar + d * data.p_d) @ U
@@ -98,15 +114,22 @@ def relaxed_gradient(U: np.ndarray, data: RelaxationData, d: float) -> np.ndarra
 
 
 def frobenius_from_mats(U: np.ndarray, mats: np.ndarray) -> float:
-    """Sum over modalities of ||U U^T - S_k||_F^2."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != mats.shape[1]:
-        raise ValueError(
-            f"expected a matrix with {mats.shape[1]} rows, got shape {U.shape}")
+    """Sum over modalities of ||U U^T - S_k||_F^2 from the dense stack: the
+    reference ``frobenius_objective`` is tested against."""
+    U = _check_u(U, mats.shape[1])
     gram = U @ U.T
     return float(((gram[None, :, :] - mats) ** 2).sum())
 
 
 def frobenius_objective(U: np.ndarray, instance: Instance) -> float:
-    """Exact association objective of an assignment matrix on an instance."""
-    return frobenius_from_mats(U, build_modality_matrices(instance).mats)
+    """Exact association objective sum_k ||U U^T - S_k||_F^2 at any U.
+
+    With G = U U^T and abar = K - 2 sum_k S_k, expanding the squares gives
+    frob_const + <G, abar> + K (||G||^2 - sum G); the last term vanishes on
+    binary assignments, where G is 0/1.
+    """
+    U = _check_u(U, instance.num_elements)
+    abar, frob_const = _fuse(instance)
+    gram = U @ U.T
+    return (frob_const + float((gram * abar).sum()) + instance.modality_count
+            * (float((gram * gram).sum()) - float(gram.sum())))

@@ -120,25 +120,24 @@ def generate(config: SynthConfig) -> tuple[Instance, GroundTruth]:
         set_sizes.append(len(ids))
     m = sum(set_sizes)
     set_index = np.repeat(np.arange(n), set_sizes)
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
-             if set_index[a] != set_index[b]]
-    true_scores = np.array([1.0 if labels[a] == labels[b] else 0.0
-                            for a, b in pairs])
-    table = np.empty((len(pairs), config.modality_count))
+    # cross-set pairs a < b in row-major order: (0, m_0), ..., (1, m_0), ...
+    a, b = np.nonzero(np.triu(set_index[:, None] != set_index[None, :]))
+    true_scores = np.equal.outer(labels, labels)[a, b].astype(float)
+    table = np.empty((len(a), config.modality_count))
     for k, (sigma, rho, phi) in enumerate(config.corruption_profile()):
         s = true_scores.copy()
-        if len(pairs):
+        if len(a):
             if phi > 0:
-                flip = rng.random(len(pairs)) < phi
+                flip = rng.random(len(a)) < phi
                 s[flip] = 1.0 - s[flip]
             if rho > 0:
-                masked = rng.random(len(pairs)) < rho
+                masked = rng.random(len(a)) < rho
                 s[masked] = 0.5
             if sigma > 0:
-                s = np.clip(s + rng.normal(0.0, sigma, len(pairs)), 0.0, 1.0)
+                s = np.clip(s + rng.normal(0.0, sigma, len(a)), 0.0, 1.0)
         table[:, k] = s
-    scores = {pair: tuple(table[idx]) for idx, pair in enumerate(pairs)}
-    instance = Instance(tuple(set_sizes), config.modality_count, scores)
+    instance = Instance(tuple(set_sizes), config.modality_count,
+                        np.column_stack((a, b)), table)
     return instance, GroundTruth.from_labels(labels, set_sizes)
 
 
@@ -150,9 +149,8 @@ def restrict_modalities(instance: Instance, modalities: Sequence[int]) -> Instan
     for k in kept:
         if not 0 <= k < instance.modality_count:
             raise ValueError(f"modality {k} out of range")
-    scores = {pair: tuple(vec[k] for k in kept)
-              for pair, vec in instance.scores.items()}
-    return Instance(instance.set_sizes, len(kept), scores)
+    return Instance(instance.set_sizes, len(kept), instance.pairs,
+                    instance.scores[:, kept])
 
 
 # Heterogeneous corruption profiles: (sigma, inconclusive rate, flip rate).

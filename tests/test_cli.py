@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+import fusematch.cli
 from fusematch import SynthConfig, generate
 from fusematch.cli import (
     FileFormatError,
@@ -16,6 +19,7 @@ from fusematch.cli import (
     write_instance,
     write_truth,
 )
+from fusematch.synth import DEFAULT_SUITE_BASE
 
 
 @pytest.fixture
@@ -39,7 +43,7 @@ class TestInstanceIO:
         from fusematch import Instance
 
         inst = Instance(set_sizes=(1, 1, 1), modality_count=1,
-                        scores={(0, 1): (0.5,), (0, 2): (0.9,)})
+                        pairs=[(0, 1), (0, 2)], scores=[(0.5,), (0.9,)])
         path = tmp_path / "sparse.json"
         write_instance(inst, path)
         data = json.loads(path.read_text())
@@ -52,7 +56,7 @@ class TestInstanceIO:
 
         # 0.5 is the default only across sets; within a set it is information
         inst = Instance(set_sizes=(2, 1), modality_count=1,
-                        scores={(0, 1): (0.5,), (0, 2): (0.9,)})
+                        pairs=[(0, 1), (0, 2)], scores=[(0.5,), (0.9,)])
         path = tmp_path / "within.json"
         write_instance(inst, path)
         data = json.loads(path.read_text())
@@ -104,6 +108,30 @@ class TestInstanceIO:
             "scores": [{"a": 0, "b": 1, "s": [True]}]}))
         with pytest.raises(FileFormatError):
             read_instance(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_score_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text('{"set_sizes": [1, 1], "modalities": 1, '
+                        '"scores": [{"a": 0, "b": 1, "s": [%s]}]}' % bad)
+        with pytest.raises(FileFormatError, match=r"scores\[0\]"):
+            read_instance(path)
+
+    def test_synth_files_golden_bytes(self, tmp_path):
+        # pins the byte layout of written instance and truth files
+        code = main(["synth", "--out", str(tmp_path), "--universe-size", "3",
+                     "--num-sets", "3", "--modalities", "2", "--noise-sigma", "0.15",
+                     "--inconclusive-rate", "0.15", "--flip-rate", "0.05",
+                     "--outliers", "1", "--seed", "7"])
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("instance_000.json", "truth_000.json")}
+        assert digests == {
+            "instance_000.json":
+                "4b55da665be21a310b33d6f5af41ecbc16f2292fb412a14bfe5930cfe9c66048",
+            "truth_000.json":
+                "175d0e143955c7547c57d81bbb9667fc08315badfd41c76c3716a6a5315291a7",
+        }
 
     def test_truth_roundtrip(self, instance_file):
         _, truth_path, _, truth = instance_file
@@ -294,6 +322,23 @@ class TestBenchCommand:
         for line in rows[1:]:
             cells = line.split(",")
             assert float(cells[1]) == 0.0  # gap_mean
+
+    def test_ablation_honours_shape_flags(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(fusematch.cli, "ablation",
+                            lambda trials, seed, base: seen.append(base) or [])
+        assert main(["bench", "--ablation", "--trials", "1"]) == 0
+        assert main(["bench", "--ablation", "--trials", "1", "--universe-size", "2",
+                     "--num-sets", "2", "--observe-prob", "0.5", "--outliers", "0"]) == 0
+        assert main(["bench", "--ablation", "--trials", "1", "--num-sets", "5"]) == 0
+        assert seen == [
+            DEFAULT_SUITE_BASE,
+            replace(DEFAULT_SUITE_BASE, universe_size=2, num_sets=2,
+                    observe_prob=0.5, outliers_per_run=0),
+            replace(DEFAULT_SUITE_BASE, num_sets=5),
+        ]
+        assert main(["bench", "--ablation", "--outliers", "0,1"]) == 1
+        assert "one outlier count" in capsys.readouterr().err
 
     def test_bad_outlier_list_exits_one(self, capsys):
         assert main(["bench", "--outliers", "0,x"]) == 1

@@ -26,11 +26,12 @@ from fusematch.core import PairwiseTable
 from conftest import random_feasible_assignment
 
 
-def make_instance(set_sizes=(1, 1), modality_count=1, scores=None):
+def make_instance(set_sizes=(1, 1), modality_count=1, pairs=(), scores=()):
     return Instance(
         set_sizes=tuple(set_sizes),
         modality_count=modality_count,
-        scores=scores or {},
+        pairs=pairs,
+        scores=scores,
     )
 
 
@@ -45,36 +46,75 @@ class TestInstance:
         assert [inst.set_of(e) for e in range(6)] == [0, 0, 1, 1, 1, 2]
 
     def test_score_key_canonicalized(self):
-        inst = make_instance(set_sizes=(1, 1), scores={(1, 0): (0.9,)})
-        assert inst.score_vector(0, 1) == (0.9,)
-        assert inst.score_vector(1, 0) == (0.9,)
+        inst = make_instance(set_sizes=(1, 1), pairs=[(1, 0)], scores=[(0.9,)])
+        np.testing.assert_array_equal(inst.pairs, [[0, 1]])
+        np.testing.assert_array_equal(inst.scores, [[0.9]])
+        assert inst.pairs.dtype == np.int64 and inst.scores.dtype == np.float64
 
     def test_score_out_of_range_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            make_instance(scores={(0, 1): (1.5,)})
+            make_instance(pairs=[(0, 1)], scores=[(1.5,)])
         with pytest.raises(InvalidInstanceError):
-            make_instance(scores={(0, 1): (-0.1,)})
+            make_instance(pairs=[(0, 1)], scores=[(-0.1,)])
 
     def test_score_length_mismatch_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            make_instance(modality_count=2, scores={(0, 1): (0.5,)})
+            make_instance(modality_count=2, pairs=[(0, 1)], scores=[(0.5,)])
 
     def test_self_pair_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            make_instance(scores={(0, 0): (0.5,)})
+            make_instance(pairs=[(0, 0)], scores=[(0.5,)])
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            make_instance(scores={(0, 1): (0.5,), (1, 0): (0.6,)})
+            make_instance(pairs=[(0, 1), (1, 0)], scores=[(0.5,), (0.6,)])
 
     def test_empty_set_rejected(self):
         with pytest.raises(InvalidInstanceError):
             make_instance(set_sizes=(2, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected(self, bad):
+        with pytest.raises(InvalidInstanceError, match=r"scores\[1\]"):
+            make_instance(set_sizes=(1, 1, 1), pairs=[(0, 1), (1, 2)],
+                          scores=[(0.3,), (bad,)])
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            make_instance(pairs=[(0, 2)], scores=[(0.9,)])
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            make_instance(pairs=[(-1, 1)], scores=[(0.9,)])
+
+    def test_non_integer_pairs_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            make_instance(pairs=[(0.0, 1.0)], scores=[(0.9,)])
+
+    def test_canonical_arrays(self):
+        # rows sorted by (a, b) with a < b, repeats merged, defaults dropped
+        inst = make_instance(set_sizes=(2, 2), modality_count=2,
+                             pairs=[(3, 1), (0, 1), (2, 0), (1, 3), (0, 3)],
+                             scores=[(0.2, 0.4), (0.0, 0.0), (0.5, 0.5),
+                                     (0.2, 0.4), (1.0, 0.5)])
+        np.testing.assert_array_equal(inst.pairs, [[0, 3], [1, 3]])
+        np.testing.assert_array_equal(inst.scores, [[1.0, 0.5], [0.2, 0.4]])
+        with pytest.raises(ValueError):
+            inst.scores[0, 0] = 0.1
+        with pytest.raises(ValueError):
+            inst.pairs[0, 0] = 1
+
+    def test_equality_compares_canonical_arrays(self):
+        a = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 2), (1, 0)],
+                          scores=[(0.9,), (0.1,)])
+        b = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 1), (2, 0), (1, 2)],
+                          scores=[(0.1,), (0.9,), (0.5,)])
+        assert a == b
+        assert a != make_instance(set_sizes=(1, 1, 1), pairs=[(0, 2)], scores=[(0.9,)])
+        assert a != make_instance(set_sizes=(1, 2))
+
 
 class TestBuildModalityMatrices:
     def test_two_singletons_with_score(self):
-        inst = make_instance(set_sizes=(1, 1), scores={(0, 1): (0.9,)})
+        inst = make_instance(set_sizes=(1, 1), pairs=[(0, 1)], scores=[(0.9,)])
         mats = build_modality_matrices(inst).mats
         assert mats.shape == (1, 2, 2)
         np.testing.assert_array_equal(mats[0], [[1.0, 0.9], [0.9, 1.0]])
@@ -91,7 +131,7 @@ class TestBuildModalityMatrices:
 
     def test_multimodal_stacking(self):
         inst = make_instance(set_sizes=(1, 1), modality_count=2,
-                             scores={(0, 1): (0.2, 0.8)})
+                             pairs=[(0, 1)], scores=[(0.2, 0.8)])
         mats = build_modality_matrices(inst).mats
         assert mats.shape == (2, 2, 2)
         assert mats[0][0, 1] == 0.2

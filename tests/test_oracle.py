@@ -42,7 +42,7 @@ class TestCountFeasible:
             sizes = tuple(int(rng.integers(1, 4)) for _ in range(n))
             if sum(sizes) > 8:
                 continue
-            inst = Instance(set_sizes=sizes, modality_count=1, scores={})
+            inst = Instance(set_sizes=sizes, modality_count=1)
             listed = list(enumerate_feasible(inst))
             assert len(listed) == count_feasible(sizes)
             seen = {tuple(np.argmax(a.entries, axis=1)) for a in listed}
@@ -56,14 +56,14 @@ class TestEnumerate:
             assert a.entries.sum() == inst.num_elements  # construction validated it
 
     def test_cap_enforced(self):
-        inst = Instance(set_sizes=(7, 7), modality_count=1, scores={})
+        inst = Instance(set_sizes=(7, 7), modality_count=1)
         with pytest.raises(InstanceTooLargeError):
             list(enumerate_feasible(inst))
         with pytest.raises(InstanceTooLargeError):
             solve_exact(inst)
 
     def test_cap_override(self):
-        inst = Instance(set_sizes=(7, 6), modality_count=1, scores={})
+        inst = Instance(set_sizes=(7, 6), modality_count=1)
         cfg = OracleConfig(max_elements=13)
         res = solve_exact(inst, cfg)
         assert res.value >= 0.0
@@ -71,20 +71,20 @@ class TestEnumerate:
 
 class TestSolveExact:
     def test_certain_match_merges(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (1.0,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(1.0,)])
         res = solve_exact(inst)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.assignment.num_clusters == 1
 
     def test_certain_mismatch_separates(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (0.0,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(0.0,)])
         res = solve_exact(inst)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.assignment.num_clusters == 2
 
     def test_merge_value_when_scores_disagree(self):
         # merging against a 0 score costs (1-0)^2 twice
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (0.0,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(0.0,)])
         merged = None
         for a in enumerate_feasible(inst):
             if a.num_clusters == 1:
@@ -119,7 +119,7 @@ class TestSolveExact:
             assert orc.value <= res.frobenius_value + 1e-9
 
     def test_all_inconclusive_ties_everything(self):
-        inst = Instance(set_sizes=(1, 1, 1), modality_count=1, scores={})
+        inst = Instance(set_sizes=(1, 1, 1), modality_count=1)
         res = solve_exact(inst, OracleConfig(report_all_optima=True))
         assert len(res.optima) == count_feasible((1, 1, 1))
         first = next(iter(enumerate_feasible(inst)))
@@ -127,7 +127,7 @@ class TestSolveExact:
 
     def test_first_optimum_in_enumeration_order(self, rng):
         # among exact ties the reported assignment is the earliest one
-        inst = Instance(set_sizes=(2, 1), modality_count=1, scores={})
+        inst = Instance(set_sizes=(2, 1), modality_count=1)
         res = solve_exact(inst, OracleConfig(report_all_optima=True))
         listed = list(enumerate_feasible(inst))
         values = [frobenius_objective(a.entries, inst) for a in listed]

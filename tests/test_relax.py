@@ -9,9 +9,11 @@ import pytest
 
 from fusematch import (
     Instance,
+    SynthConfig,
     build_relaxation,
     enumerate_feasible,
     frobenius_objective,
+    generate,
     relaxed_gradient,
     relaxed_objective,
 )
@@ -30,40 +32,40 @@ def brute_force_frobenius(U: np.ndarray, instance: Instance) -> float:
 
 class TestAggregateMatrix:
     def test_inconclusive_score_maps_to_zero(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (0.5,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(0.5,)])
         data = build_relaxation(inst)
         assert data.abar[0, 1] == 0.0
 
     def test_certain_match_maps_to_minus_one(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (1.0,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(1.0,)])
         data = build_relaxation(inst)
         assert data.abar[0, 1] == -1.0
 
     def test_certain_mismatch_maps_to_plus_one(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (0.0,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(0.0,)])
         data = build_relaxation(inst)
         assert data.abar[0, 1] == 1.0
 
     def test_four_modalities_all_certain(self):
         inst = Instance(set_sizes=(1, 1), modality_count=4,
-                        scores={(0, 1): (1.0, 1.0, 1.0, 1.0)})
+                        pairs=[(0, 1)], scores=[(1.0, 1.0, 1.0, 1.0)])
         data = build_relaxation(inst)
         assert data.abar[0, 1] == -4.0
 
     def test_diagonal_equals_minus_modality_count(self):
-        inst = Instance(set_sizes=(2, 1), modality_count=3, scores={})
+        inst = Instance(set_sizes=(2, 1), modality_count=3)
         data = build_relaxation(inst)
         np.testing.assert_array_equal(np.diag(data.abar), -3.0)
 
     def test_penalty_matrices(self):
-        inst = Instance(set_sizes=(2, 1), modality_count=1, scores={})
+        inst = Instance(set_sizes=(2, 1), modality_count=1)
         data = build_relaxation(inst)
         expected_pd = np.zeros((3, 3))
         expected_pd[0, 1] = expected_pd[1, 0] = 1.0
         np.testing.assert_array_equal(data.p_d, expected_pd)
 
     def test_frob_const(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={(0, 1): (0.9,)})
+        inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(0.9,)])
         data = build_relaxation(inst)
         assert data.frob_const == pytest.approx(2 * (1.0 + 0.9**2), abs=1e-12)
 
@@ -105,7 +107,7 @@ class TestExpansionIdentity:
 
 class TestRelaxedObjective:
     def test_zero_matrix_with_unit_weight(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={})
+        inst = Instance(set_sizes=(1, 1), modality_count=1)
         data = build_relaxation(inst)
         U = np.zeros((2, 2))
         assert relaxed_objective(U, data, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -123,7 +125,7 @@ class TestRelaxedObjective:
                 assert relaxed_objective(U, data, d) == pytest.approx(expected, abs=1e-9)
 
     def test_penalty_bracket_favors_feasible_points(self):
-        inst = Instance(set_sizes=(2,), modality_count=1, scores={})
+        inst = Instance(set_sizes=(2,), modality_count=1)
         data = build_relaxation(inst)
         both_first = np.array([[1.0, 0.0], [1.0, 0.0]])  # same-set collision
 
@@ -143,8 +145,7 @@ class TestRelaxedObjective:
         # every cross-set score 0.5: the data term cannot distinguish
         # feasible binary assignments
         sizes = (2, 2, 1)
-        inst = Instance(set_sizes=sizes, modality_count=2,
-                        scores={})  # absent pairs default to 0.5
+        inst = Instance(set_sizes=sizes, modality_count=2)  # absent pairs default to 0.5
         data = build_relaxation(inst)
         values = set()
         for _ in range(100):
@@ -153,13 +154,13 @@ class TestRelaxedObjective:
         assert len(values) == 1
 
     def test_rejects_negative_entries(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={})
+        inst = Instance(set_sizes=(1, 1), modality_count=1)
         data = build_relaxation(inst)
         with pytest.raises(ValueError):
             relaxed_objective(np.array([[-0.1, 0.0], [0.0, 0.5]]), data, 1.0)
 
     def test_rejects_negative_weight(self):
-        inst = Instance(set_sizes=(1, 1), modality_count=1, scores={})
+        inst = Instance(set_sizes=(1, 1), modality_count=1)
         data = build_relaxation(inst)
         with pytest.raises(ValueError):
             relaxed_objective(np.eye(2) * 0.5, data, -1.0)
@@ -203,3 +204,50 @@ class TestGradient:
         um[i, j] -= h
         fd = (relaxed_objective(up, data, 2.0) - relaxed_objective(um, data, 2.0)) / (2 * h)
         assert g[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def _corpus():
+    """Seeded instances covering every shape the fused data must handle."""
+    rng = np.random.default_rng(2024)
+    yield from (random_instance(rng) for _ in range(12))
+    for knobs in (dict(inconclusive_rate=1.0), dict(flip_rate=1.0),
+                  dict(noise_sigma=0.3, outliers_per_run=3)):
+        for seed in range(3):
+            yield generate(SynthConfig(universe_size=4, num_sets=3, modality_count=3,
+                                       observe_prob=0.8, rng_seed=seed, **knobs))[0]
+    yield generate(SynthConfig(universe_size=5, num_sets=1, rng_seed=0))[0]   # one set
+    yield Instance(set_sizes=(1,), modality_count=2)                          # one element
+    # stored within-set scores, a repeated row and a row at its default
+    yield Instance(set_sizes=(3, 2), modality_count=2,
+                   pairs=[(1, 0), (0, 2), (3, 4), (2, 3), (3, 2), (0, 4)],
+                   scores=[(0.7, 0.1), (0.5, 0.5), (0.25, 1.0), (0.9, 0.8),
+                           (0.9, 0.8), (0.5, 0.5)])
+
+
+class TestFusedDataMatchesDenseStack:
+    """build_relaxation and frobenius_objective work from the stored pairs;
+    the dense K-by-m-by-m stack is the reference they must agree with."""
+
+    def test_abar_bit_identical(self):
+        for inst in _corpus():
+            mats = build_modality_matrices(inst).mats
+            abar = build_relaxation(inst).abar
+            np.testing.assert_array_equal(abar, inst.modality_count - 2.0 * mats.sum(axis=0))
+
+    def test_frob_const(self):
+        for inst in _corpus():
+            expected = float((build_modality_matrices(inst).mats ** 2).sum())
+            assert build_relaxation(inst).frob_const == pytest.approx(expected, rel=1e-12)
+
+    def test_frobenius_objective_binary_and_fractional(self):
+        rng = np.random.default_rng(5)
+        for inst in _corpus():
+            mats = build_modality_matrices(inst).mats
+            m = inst.num_elements
+            points = [random_feasible_assignment(rng, inst.set_sizes).entries,
+                      rng.uniform(0.0, 1.0, size=(m, m)),
+                      rng.uniform(0.0, 0.5, size=(m, max(1, m - 2)))]
+            for U in points:
+                expected = frobenius_from_mats(U, mats)
+                assert frobenius_objective(U, inst) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-12)

@@ -154,13 +154,13 @@ class TestInnerLoop:
 
 class TestInitialize:
     def test_deterministic_given_seed(self):
-        inst = Instance(set_sizes=(2, 2), modality_count=1, scores={})
+        inst = Instance(set_sizes=(2, 2), modality_count=1)
         a = initialize(inst, SolverConfig(rng_seed=11))
         b = initialize(inst, SolverConfig(rng_seed=11))
         np.testing.assert_array_equal(a, b)
 
     def test_near_half_identity(self):
-        inst = Instance(set_sizes=(2, 2), modality_count=1, scores={})
+        inst = Instance(set_sizes=(2, 2), modality_count=1)
         U0 = initialize(inst, SolverConfig(rng_seed=0))
         assert np.abs(np.diag(U0) - 0.5).max() < 2e-3
         off = U0 - np.diag(np.diag(U0))
@@ -235,7 +235,7 @@ class TestSolverConfig:
             SolverConfig(binary_tol=0.6)
 
     def test_derived_defaults_resolve_per_instance(self):
-        inst = Instance(set_sizes=(2, 2), modality_count=3, scores={})
+        inst = Instance(set_sizes=(2, 2), modality_count=3)
         cfg = SolverConfig()
         assert cfg.resolved_d_init(inst.modality_count) == pytest.approx(0.03)
         assert cfg.resolved_d_max(inst.modality_count) == pytest.approx(3e4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,22 @@ class TestGenerate:
         cfg = SynthConfig(universe_size=4, num_sets=4, noise_sigma=0.5,
                           flip_rate=0.3, inconclusive_rate=0.3, rng_seed=5)
         inst, _ = generate(cfg)
-        for vec in inst.scores.values():
-            assert all(0.0 <= x <= 1.0 for x in vec)
+        assert ((inst.scores >= 0.0) & (inst.scores <= 1.0)).all()
+
+    def test_arrays_golden_digest(self):
+        # pins the pair order, the RNG stream and every drawn score
+        cfg = SynthConfig(universe_size=6, num_sets=4, modality_count=2,
+                          observe_prob=0.8, outliers_per_run=2, noise_sigma=0.15,
+                          inconclusive_rate=0.15, flip_rate=0.05, rng_seed=2024)
+        inst, truth = generate(cfg)
+        assert inst.pairs.shape == (197, 2) and inst.scores.shape == (197, 2)
+        h = hashlib.sha256()
+        h.update(repr(inst.set_sizes).encode())
+        h.update(inst.pairs.astype("<i8").tobytes())
+        h.update(inst.scores.astype("<f8").tobytes())
+        h.update(repr(truth.labels).encode())
+        assert h.hexdigest() == (
+            "99aba981f3901d369f212cb979754f794dd7346c21c760d641af026b01b8c9fc")
 
     def test_zero_corruption_truth_has_zero_residual(self):
         for seed in range(5):
@@ -115,8 +131,8 @@ class TestRestrictModalities:
         inst, _ = generate(cfg)
         sub = restrict_modalities(inst, [2, 0])
         assert sub.modality_count == 2
-        for pair, vec in sub.scores.items():
-            assert vec == (inst.scores[pair][2], inst.scores[pair][0])
+        np.testing.assert_array_equal(sub.pairs, inst.pairs)
+        np.testing.assert_array_equal(sub.scores, inst.scores[:, [2, 0]])
 
     def test_rejects_bad_index(self):
         cfg = SynthConfig(universe_size=2, num_sets=2, rng_seed=0)
@@ -142,8 +158,10 @@ class TestMultimodalSuite:
         suite = multimodal_suite(3)
         fused, _ = suite[0]
         for k, (single, _) in enumerate(suite[1:]):
-            for pair, vec in single.scores.items():
-                assert vec == (fused.scores[pair][k],)
+            # a restriction drops the pairs whose one score is the default
+            kept = fused.scores[:, k] != 0.5
+            np.testing.assert_array_equal(single.pairs, fused.pairs[kept])
+            np.testing.assert_array_equal(single.scores[:, 0], fused.scores[kept, k])
 
     def test_deterministic(self):
         a = multimodal_suite(11)
