@@ -4,8 +4,15 @@ Instance files are JSON objects {"set_sizes", "modalities", "scores",
 optional "metadata"} where scores is a list of {"a", "b", "s"} entries with
 global indices a < b and s holding one value per modality.  Pairs whose
 scores equal the default (0.5 across sets, 0 within a set) are not stored.
-read_instance parses the list in one pass into the Instance arrays, entry i
-as row i, and leaves the score values to Instance.
+Every file is written in json.dumps(..., indent=2)'s layout plus a final
+newline.  write_instance emits that layout itself, because json only runs
+its C encoder without an indent: the head and tail (set_sizes, modalities,
+metadata) go through json.dumps, and each score entry is one %-format of a
+row template built once per call from K ("a" and "b" as %d, K %r lines in
+"s"; %r of a float is what json writes), streamed to the file.
+read_instance checks the entries column by column with numpy, reports the
+lowest faulty entry, stores entry i as row i, and leaves the score values
+to Instance.
 Result files carry clusters, both objective values, the convergence flag, a
 continuation trace and the effective solver configuration; runs are
 byte-reproducible for a fixed seed.
@@ -19,9 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -42,6 +51,7 @@ from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
 
 INSTANCE_FIELDS = {"set_sizes", "modalities", "scores", "metadata"}
 SCORE_FIELDS = {"a", "b", "s"}
+NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 TRUTH_FIELDS = {"set_sizes", "labels"}
@@ -67,13 +77,20 @@ def _load_json(path: str | Path) -> Any:
         raise FileFormatError(f"{path}: {exc.strerror}") from exc
 
 
-def _dump_json(payload: Any, path: str | Path | None) -> None:
+@contextmanager
+def _output(path: str | Path | None) -> Iterator[TextIO]:
+    """Standard output for None, else the file, its parent directories made."""
     if path is None:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        yield sys.stdout
         return
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:   # streamed: no second copy of the text
+    with path.open("w") as fh:
+        yield fh
+
+
+def _dump_json(payload: Any, path: str | Path | None) -> None:
+    with _output(path) as fh:   # streamed: no second copy of the text
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -89,40 +106,66 @@ def _require_fields(data: dict, allowed: set, required: set, where: str) -> None
         raise FileFormatError(f"{where}: missing field '{sorted(missing)[0]}'")
 
 
+def _score_arrays(entries: list, m: int, count: int,
+                  where: str) -> tuple[np.ndarray, np.ndarray]:
+    """The scores list as (P, 2) pairs and (P, K) scores, entry i as row i.
+
+    Each check runs on whole columns of the entries before the first fault
+    found so far, so a faulty list is reported at its lowest faulty entry,
+    with that entry's first fault in the order: fields, integer a/b, range,
+    s, duplicate pair.
+    """
+    n, fault = len(entries), None
+
+    def narrow(bad, message: str | None) -> None:   # bad: one flag per entry before n
+        nonlocal n, fault
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            n, fault = int(hits[0]), message
+
+    # a fields fault has message None: _require_fields names it below
+    narrow([type(e) is not dict or e.keys() != SCORE_FIELDS for e in entries], None)
+    a, b = [e["a"] for e in entries[:n]], [e["b"] for e in entries[:n]]
+    narrow([type(x) is not int or type(y) is not int for x, y in zip(a, b)],
+           "a and b must be integers")
+    a, b = np.array(a[:n]), np.array(b[:n])   # not int64 if an index is past it
+    narrow((a < 0) | (a >= b) | (b >= m), f"indices must satisfy 0 <= a < b < {m}")
+    s = [e["s"] for e in entries[:n]]
+    narrow(np.array([len(v) if type(v) is list else -1 for v in s]) != count,
+           f"s: expected {count} numbers")
+    values = list(chain.from_iterable(s[:n]))
+    narrow(~np.fromiter(map(NUMBER_TYPES.__contains__, map(type, values)), bool,
+                        len(values)).reshape(n, count).all(axis=1),
+           f"s: expected {count} numbers")
+    pairs = np.column_stack((a[:n], b[:n])).astype(np.int64)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))   # stable: repeats sort after the first
+    ordered = pairs[order]
+    repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    if repeats.size:   # the last check: no later one can move the fault
+        n = int(repeats.min())
+        fault = "duplicate pair (%d, %d)" % tuple(pairs[n])
+    if n < len(entries):
+        if fault is None:
+            _require_fields(entries[n], SCORE_FIELDS, SCORE_FIELDS, f"{where}: scores[{n}]")
+        raise FileFormatError(f"{where}: scores[{n}]: {fault}")
+    return pairs, np.array(values, dtype=np.float64).reshape(n, count)
+
+
 def read_instance(path: str | Path) -> Instance:
     data = _load_json(path)
     _require_fields(data, INSTANCE_FIELDS, {"set_sizes", "modalities", "scores"}, str(path))
     sizes = data["set_sizes"]
     if (not isinstance(sizes, list) or not sizes
-            or not all(isinstance(s, int) and s >= 1 for s in sizes)):
+            or not all(type(s) is int and s >= 1 for s in sizes)):
         raise FileFormatError(f"{path}: set_sizes: expected positive integers")
     count = data["modalities"]
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
     if not isinstance(data["scores"], list):
         raise FileFormatError(f"{path}: scores: expected a list")
-    m = sum(sizes)
-    rows: dict[tuple[int, int], list] = {}   # file order
-    for idx, entry in enumerate(data["scores"]):
-        if type(entry) is not dict or entry.keys() != SCORE_FIELDS:
-            _require_fields(entry, SCORE_FIELDS, SCORE_FIELDS, f"{path}: scores[{idx}]")
-        a, b, vec = entry["a"], entry["b"], entry["s"]
-        if type(a) is not int or type(b) is not int:
-            fault = "a and b must be integers"
-        elif not 0 <= a < b < m:
-            fault = f"indices must satisfy 0 <= a < b < {m}"
-        elif (type(vec) is not list or len(vec) != count
-              or not set(map(type, vec)) <= {int, float}):   # bool is not a number
-            fault = f"s: expected {count} numbers"
-        elif (a, b) in rows:
-            fault = f"duplicate pair ({a}, {b})"
-        else:
-            rows[(a, b)] = vec
-            continue
-        raise FileFormatError(f"{path}: scores[{idx}]: {fault}")
     try:   # Instance checks the values; its messages name the scores[i] row
-        scores = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), count)
-        return Instance(tuple(sizes), count, np.array(list(rows), dtype=np.int64), scores)
+        pairs, scores = _score_arrays(data["scores"], sum(sizes), count, str(path))
+        return Instance(tuple(sizes), count, pairs, scores)
     except OverflowError as exc:
         raise FileFormatError(f"{path}: scores: {exc}") from exc
     except InvalidInstanceError as exc:
@@ -131,26 +174,34 @@ def read_instance(path: str | Path) -> Instance:
 
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
-    entries = [{"a": a, "b": b, "s": s}
-               for (a, b), s in zip(instance.pairs.tolist(), instance.scores.tolist())]
-    payload: dict[str, Any] = {
-        "set_sizes": list(instance.set_sizes),
-        "modalities": instance.modality_count,
-        "scores": entries,
-    }
+    head = {"set_sizes": list(instance.set_sizes),
+            "modalities": instance.modality_count, "scores": []}
     if metadata is not None:
-        payload["metadata"] = metadata
-    _dump_json(payload, path)
+        head["metadata"] = metadata
+    # the first '"scores": []' is the top-level one: nothing before it can hold it
+    head_text, empty, tail_text = json.dumps(head, indent=2).partition('"scores": []')
+    # one entry in json.dumps(..., indent=2)'s layout; %r of a float is what json writes
+    row = (',\n    {\n      "a": %d,\n      "b": %d,\n      "s": [\n'
+           + ",\n".join(["        %r"] * instance.modality_count) + "\n      ]\n    }")
+    rows = map(row.__mod__, zip(*instance.pairs.T.tolist(), *instance.scores.T.tolist()))
+    with _output(path) as fh:
+        first = next(rows, None)
+        if first is None:
+            fh.write(head_text + empty + tail_text + "\n")
+            return
+        fh.write(head_text + '"scores": [' + first[1:])   # no ',' before the first row
+        fh.writelines(rows)
+        fh.write("\n  ]" + tail_text + "\n")
 
 
 def read_truth(path: str | Path) -> GroundTruth:
     data = _load_json(path)
     _require_fields(data, TRUTH_FIELDS, TRUTH_FIELDS, str(path))
     sizes, labels = data["set_sizes"], data["labels"]
-    if (not isinstance(sizes, list)
-            or not all(isinstance(s, int) and s >= 1 for s in sizes)):
+    if (not isinstance(sizes, list) or not sizes
+            or not all(type(s) is int and s >= 1 for s in sizes)):
         raise FileFormatError(f"{path}: set_sizes: expected positive integers")
-    if not isinstance(labels, list) or not all(isinstance(x, int) for x in labels):
+    if not isinstance(labels, list) or not all(type(x) is int for x in labels):
         raise FileFormatError(f"{path}: labels: expected integers")
     if len(labels) != sum(sizes):
         raise FileFormatError(
@@ -188,7 +239,7 @@ def read_result(path: str | Path) -> dict:
     _require_fields(data, RESULT_FIELDS, {"clusters"}, str(path))
     clusters = data["clusters"]
     if not isinstance(clusters, list) or not all(
-            isinstance(c, list) and all(isinstance(x, int) for x in c)
+            isinstance(c, list) and all(type(x) is int for x in c)
             for c in clusters):
         raise FileFormatError(f"{path}: clusters: expected lists of integers")
     trace = data.get("trace", [])

@@ -109,6 +109,15 @@ class TestInstanceIO:
         with pytest.raises(FileFormatError):
             read_instance(path)
 
+    @pytest.mark.parametrize("sizes, count, fault", [
+        ([True, True], 1, "set_sizes"), ([1, 1], True, "modalities")])
+    def test_boolean_sizes_rejected(self, tmp_path, sizes, count, fault):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"set_sizes": sizes, "modalities": count,
+                                    "scores": [{"a": 0, "b": 1, "s": [0.9]}]}))
+        with pytest.raises(FileFormatError, match=fault):
+            read_instance(path)
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_score_rejected(self, tmp_path, bad):
         path = tmp_path / "bad.json"
@@ -137,6 +146,77 @@ class TestInstanceIO:
         _, truth_path, _, truth = instance_file
         loaded = read_truth(truth_path)
         assert loaded.labels == truth.labels
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("metadata", [
+        None, {}, {"seed": 3, "note": None, "sigma": 0.15,
+                   "generator": {"flip_rate": 1e-05, "sizes": [2, 2], "rng_seed": None}}])
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_write_matches_json_reference(self, tmp_path, count, metadata, stored):
+        from fusematch import Instance
+
+        # within-set rows (0, 1) and (2, 3), cross-set rows, floats with long reprs;
+        # no row is all-default, so all are stored, in canonical order
+        table = {(0, 1): [0.5, 0.0, 1.0], (0, 2): [0.0, 1e-05, 0.5],
+                 (0, 4): [1.0, 0.5, 0.1 + 0.2], (1, 4): [1e-05, 0.3, 0.0],
+                 (2, 3): [0.1 + 0.2, 1.0, 0.0], (3, 4): [0.123456789012345, 0.5, 1.0]}
+        pairs = list(table) if stored else []
+        scores = [table[p][:count] for p in pairs]
+        inst = Instance(set_sizes=(2, 2, 1), modality_count=count,
+                        pairs=pairs, scores=scores)
+        assert len(inst.pairs) == len(pairs)
+        path = tmp_path / "instance.json"
+        write_instance(inst, path, metadata)
+        payload = {"set_sizes": [2, 2, 1], "modalities": count,
+                   "scores": [{"a": a, "b": b, "s": s}
+                              for (a, b), s in zip(pairs, scores)]}
+        if metadata is not None:
+            payload["metadata"] = metadata
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert read_instance(path) == inst
+
+    def test_write_to_stdout(self, instance_file, capsys):
+        inst_path, _, instance, _ = instance_file
+        write_instance(instance, None)
+        assert capsys.readouterr().out == inst_path.read_text()
+
+    def test_write_makes_parent_directories(self, instance_file, tmp_path):
+        inst_path, _, instance, _ = instance_file
+        path = tmp_path / "new" / "dirs" / "instance.json"
+        write_instance(instance, path)
+        assert path.read_bytes() == inst_path.read_bytes()
+
+    def test_lowest_faulty_entry_named(self, tmp_path):
+        # column checks must still report the first faulty entry, whatever its fault
+        good = {"a": 0, "b": 1, "s": [0.9]}
+        faulty = [{"a": 0, "b": 2, "s": [True]}, {"a": 0.0, "b": 2, "s": [0.9]},
+                  {"a": 2, "b": 1, "s": [0.9]}, {"a": 0, "b": 2}, good]
+        path = tmp_path / "bad.json"
+        for i in range(len(faulty)):
+            scores = [good] + faulty[i:] + faulty[:i]
+            path.write_text(json.dumps(
+                {"set_sizes": [1, 1, 1], "modalities": 1, "scores": scores}))
+            with pytest.raises(FileFormatError, match=r"scores\[1\]: ") as err:
+                read_instance(path)
+            expected = ["s: expected 1 numbers", "a and b must be integers",
+                        "indices must satisfy", "missing field 's'",
+                        "duplicate pair \\(0, 1\\)"][i]
+            assert err.match(expected)
+
+    def test_truth_empty_set_sizes_rejected(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"set_sizes": [], "labels": []}))
+        with pytest.raises(FileFormatError, match="set_sizes: expected positive integers"):
+            read_truth(path)
+
+    @pytest.mark.parametrize("sizes, labels, fault", [
+        ([1, 1], [0, True], "labels: expected integers"),
+        ([True, 1], [0, 1], "set_sizes: expected positive integers")])
+    def test_truth_boolean_rejected(self, tmp_path, sizes, labels, fault):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"set_sizes": sizes, "labels": labels}))
+        with pytest.raises(FileFormatError, match=fault):
+            read_truth(path)
 
 
 class TestSolveCommand:
@@ -298,6 +378,17 @@ class TestCheckCommand:
         out.write_text(json.dumps(data))
         assert main(["check", str(out), str(inst_path)]) == 1
         assert "must be numbers" in capsys.readouterr().err
+
+    def test_boolean_cluster_index_rejected(self, tmp_path, capsys):
+        from fusematch import Instance
+
+        inst_path, out = tmp_path / "instance.json", tmp_path / "result.json"
+        write_instance(Instance(set_sizes=(1, 1), modality_count=1), inst_path)
+        out.write_text('{"clusters": [[0], [true]]}')
+        assert main(["check", str(out), str(inst_path)]) == 1
+        assert "clusters: expected lists of integers" in capsys.readouterr().err
+        out.write_text('{"clusters": [[0], [1]]}')
+        assert main(["check", str(out), str(inst_path)]) == 0
 
     def test_missing_element_fails(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)

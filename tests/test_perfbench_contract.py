@@ -36,3 +36,16 @@ def test_install_and_uninstall_restore_originals():
         tracer.uninstall()
     for key, original in originals.items():
         assert getattr(*key) is original
+
+
+def test_byte_counters_read_the_path_parameters():
+    # the tracer counts cli.bytes_written from args[1] of write_instance and
+    # cli.bytes_read from args[0] of read_instance
+    import inspect
+
+    import fusematch.cli
+
+    written = list(inspect.signature(fusematch.cli.write_instance).parameters)
+    read = list(inspect.signature(fusematch.cli.read_instance).parameters)
+    assert written[:2] == ["instance", "path"]
+    assert read[:1] == ["path"]
