@@ -22,8 +22,8 @@ from .oracle import (InstanceTooLargeError, OracleConfig, OracleResult,
                      count_feasible, enumerate_feasible, solve_exact)
 from .relax import (RelaxationData, build_relaxation, frobenius_objective,
                     relaxed_gradient, relaxed_objective)
-from .solver import (SolverConfig, SolverResult, StageRecord, armijo_search,
-                     initialize, pgd_inner, project, project_row, solve)
+from .solver import (SolverConfig, SolverResult, StageRecord, project,
+                     project_row, solve)
 from .synth import (GroundTruth, SynthConfig, generate, multimodal_suite,
                     restrict_modalities)
 
@@ -36,11 +36,11 @@ __all__ = [
     "ModalityMatrices", "OracleConfig", "OracleResult", "PairwiseTable",
     "RelaxationData", "SolverConfig", "SolverResult", "StageRecord",
     "SynthConfig", "TrialRow", "ablation", "all_pairs_matches",
-    "armijo_search", "assignment_from_clusters", "build_modality_matrices",
+    "assignment_from_clusters", "build_modality_matrices",
     "build_relaxation", "canonical_labels", "check_cycle_consistency",
     "check_feasible", "clusters_from_assignment", "consecutive_matches",
     "count_feasible", "enumerate_feasible", "feasibility_report",
-    "frobenius_objective", "generate", "initialize", "monte_carlo_gap",
+    "frobenius_objective", "generate", "monte_carlo_gap",
     "multimodal_suite", "optimality_gap", "pair_metrics",
     "pairwise_from_assignment", "pairwise_from_matches", "percent_change",
     "precision_recall", "project", "project_row", "relaxed_gradient",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (Instance, PairwiseTable, clusters_from_assignment,
                    co_clustered_pairs, pairwise_from_matrix)
-from .oracle import OracleConfig, solve_exact
+from .oracle import solve_exact
 from .solver import SolverConfig, solve
 from .synth import (DEFAULT_SUITE_BASE, MULTIMODAL_PROFILES, SynthConfig,
                     derive_seed, generate, multimodal_suite, restrict_modalities)
@@ -106,16 +106,13 @@ def percent_change(new: float, ref: float) -> float:
     return 100.0 * (new - ref) / max(ref, GAP_EPSILON)
 
 
-def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int], trials: int, *,
-                    solver_config: SolverConfig | None = None,
-                    oracle_config: OracleConfig | None = None) -> list[TrialRow]:
+def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int],
+                    trials: int) -> list[TrialRow]:
     """Outlier sweep comparing the solver against exhaustive search.
 
     For every outlier count, ``trials`` instances are drawn with seeds
     derived from base.rng_seed, so the whole table is reproducible.
     """
-    solver_cfg = solver_config if solver_config is not None else SolverConfig()
-    oracle_cfg = oracle_config if oracle_config is not None else OracleConfig()
     rows = []
     for n_o in n_o_values:
         gaps, dps, drs, times = [], [], [], []
@@ -124,9 +121,10 @@ def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int], trials: int, *
             instance, truth = generate(
                 replace(base, outliers_per_run=int(n_o), rng_seed=seed))
             start = time.perf_counter()
-            result = solve(instance, replace(solver_cfg, rng_seed=derive_seed(base.rng_seed, n_o, t, 1)))
+            result = solve(instance,
+                           SolverConfig(rng_seed=derive_seed(base.rng_seed, n_o, t, 1)))
             times.append((time.perf_counter() - start) * 1e3)
-            exact = solve_exact(instance, oracle_cfg)
+            exact = solve_exact(instance)
             gaps.append(optimality_gap(result.frobenius_value, exact.value))
             solver_metrics = precision_recall(
                 clusters_from_assignment(result.assignment), truth)
@@ -172,8 +170,8 @@ def pairwise_from_matches(matches: frozenset[tuple[int, int]],
 
 def ablation(trials: int, base_seed: int = 0, *,
              base: SynthConfig | None = None,
-             profiles: Sequence[tuple[float, float, float]] | None = None,
-             solver_config: SolverConfig | None = None) -> list[AblationRow]:
+             profiles: Sequence[tuple[float, float, float]] | None = None
+             ) -> list[AblationRow]:
     """Mean F1 per modality subset, for the solver and both baselines.
 
     Each trial draws a fresh multimodality suite.  Subsets are the single
@@ -182,10 +180,8 @@ def ablation(trials: int, base_seed: int = 0, *,
     """
     base = base if base is not None else DEFAULT_SUITE_BASE
     profiles = tuple(profiles) if profiles is not None else MULTIMODAL_PROFILES
-    solver_cfg = solver_config if solver_config is not None else SolverConfig()
     count = len(profiles)
     single_scores: dict[int, list[float]] = {k: [] for k in range(count)}
-    baseline_scores: dict[tuple[tuple[int, ...], str], list[float]] = {}
     suites = []
     for t in range(trials):
         suite = multimodal_suite(derive_seed(base_seed, t), base=base, profiles=profiles)
@@ -193,7 +189,7 @@ def ablation(trials: int, base_seed: int = 0, *,
         truth_pairs = co_clustered_pairs(suite[0][1].labels)
         for k in range(count):
             sub, truth = suite[k + 1]
-            result = solve(sub, replace(solver_cfg, rng_seed=derive_seed(base_seed, t, k)))
+            result = solve(sub, SolverConfig(rng_seed=derive_seed(base_seed, t, k)))
             f1 = pair_metrics(result.assignment.pair_set(), truth_pairs).f1
             single_scores[k].append(f1)
     order = sorted(range(count), key=lambda k: (-float(np.mean(single_scores[k])), k))
@@ -209,8 +205,7 @@ def ablation(trials: int, base_seed: int = 0, *,
             if len(subset) == 1:
                 solver_f1s.append(single_scores[subset[0]][t])
             else:
-                result = solve(sub, replace(
-                    solver_cfg, rng_seed=derive_seed(base_seed, t, *subset)))
+                result = solve(sub, SolverConfig(rng_seed=derive_seed(base_seed, t, *subset)))
                 solver_f1s.append(
                     pair_metrics(result.assignment.pair_set(), truth_pairs).f1)
             ap_f1s.append(pair_metrics(all_pairs_matches(sub), truth_pairs).f1)

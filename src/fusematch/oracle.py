@@ -130,7 +130,7 @@ def solve_exact(instance: Instance,
     abar = data.abar
     m = instance.num_elements
     set_index = [int(s) for s in instance.set_index]
-    base = data.frob_const + float(np.trace(abar))
+    base = data.frob_const
 
     # Admissible bound on the pair-sum still to come at depth t: each not yet
     # decided cross-set pair contributes at least min(0, 2 * abar[a, b]).

@@ -6,7 +6,9 @@ feasible assignments.  Expanding the squares shows that for such U the data
 term collapses to <U U^T, abar> plus a constant, where abar fuses all
 modalities into one signed affinity matrix.  The relaxation optimizes that
 inner product over nonnegative U with row sums at most one, adding penalty
-terms that vanish exactly on feasible binary points.
+terms that vanish exactly on feasible binary points.  It is the one function
+the solver descends and reports: ``build_relaxation`` keeps abar's
+off-diagonal only and moves the diagonal's constant into ``frob_const``.
 """
 
 from __future__ import annotations
@@ -25,14 +27,25 @@ class RelaxationData:
     ``abar`` entry (a, b) sums 1 - 2*s over the pair's modality scores s, so
     an inconclusive 0.5 contributes nothing, strong similarity pulls the
     pair together (negative entry) and strong dissimilarity pushes it apart
-    (positive entry).  ``p_d`` penalizes same-set co-assignment, and
-    ``frob_const`` shifts <U U^T, abar> back to the original least-squares
-    value on binary feasible points.
+    (positive entry).  ``frob_const`` shifts <U U^T, abar> back to the
+    original least-squares value on binary feasible points.  ``set_offsets``
+    and ``set_index`` are the instance's set structure, which the same-set
+    penalty reads.
+
+    abar's diagonal is zero.  The exact expansion puts -K there, but
+    <U U^T, diag(abar)> is -K m at every feasible binary point (all row
+    norms are 1), so the diagonal is folded into ``frob_const`` and no
+    optimum of the integer problem moves.  On fractional iterates, however,
+    a -K diagonal acts as a row-concentration force as strong as the full
+    modality count; it out-pulls the cross-element attraction and locks
+    rows into singleton columns before the basins have formed.  Binarity
+    is still forced by the growing column-overlap penalty.
     """
 
     abar: np.ndarray
-    p_d: np.ndarray
     frob_const: float
+    set_offsets: tuple[int, ...]
+    set_index: np.ndarray
 
     @property
     def num_elements(self) -> int:
@@ -61,14 +74,12 @@ def _fuse(instance: Instance) -> tuple[np.ndarray, float]:
 def build_relaxation(instance: Instance) -> RelaxationData:
     """Fuse an instance's stored pairs into relaxation data."""
     abar, frob_const = _fuse(instance)
-    m = instance.num_elements
-    p_d = np.zeros((m, m))
-    for offset, size in zip(instance.set_offsets, instance.set_sizes):
-        p_d[offset:offset + size, offset:offset + size] = 1.0
-    p_d[np.arange(m), np.arange(m)] = 0.0
-    for mat in (abar, p_d):
-        mat.setflags(write=False)
-    return RelaxationData(abar=abar, p_d=p_d, frob_const=frob_const)
+    np.fill_diagonal(abar, 0.0)
+    abar.setflags(write=False)
+    return RelaxationData(
+        abar=abar,
+        frob_const=frob_const - instance.modality_count * instance.num_elements,
+        set_offsets=instance.set_offsets, set_index=instance.set_index)
 
 
 def _check_u(U: np.ndarray, m: int) -> np.ndarray:
@@ -81,8 +92,9 @@ def _check_u(U: np.ndarray, m: int) -> np.ndarray:
 def relaxed_objective(U: np.ndarray, data: RelaxationData, d: float) -> float:
     """Penalized relaxation value at U with penalty weight d.
 
-    The penalty bracket sums the column overlap <U^T U, 1 - I>, the
-    same-set co-assignment <U U^T, p_d>, and ||U 1 - 1||^2 - m.  Over
+    With row sums r and per-set column sums C, the penalty bracket is
+    2 <r, r - 1> - 2 ||U||^2 + ||C||^2: the column overlap <U^T U, 1 - I>,
+    the same-set co-assignment of distinct rows, and ||r - 1||^2 - m.  Over
     the unit box it is bounded below by -m, attained exactly at binary
     feasible points, so growing d drives iterates toward feasibility.
     """
@@ -91,25 +103,26 @@ def relaxed_objective(U: np.ndarray, data: RelaxationData, d: float) -> float:
         raise ValueError("U must be nonnegative")
     if d < 0:
         raise ValueError("penalty weight must be nonnegative")
-    m = data.num_elements
     gram = U @ U.T
     row_sums = U.sum(axis=1)
-    overlap = float(row_sums @ row_sums) - float((U * U).sum())
-    gap = row_sums - 1.0
-    penalty = overlap + float((gram * data.p_d).sum()) + (float(gap @ gap) - m)
+    set_sums = np.add.reduceat(U, data.set_offsets, axis=0)
+    penalty = (2.0 * float(row_sums @ (row_sums - 1.0)) - 2.0 * float((U * U).sum())
+               + float((set_sums * set_sums).sum()))
     return float((gram * data.abar).sum()) + d * penalty
 
 
 def relaxed_gradient(U: np.ndarray, data: RelaxationData, d: float) -> np.ndarray:
-    """Gradient of the relaxed objective with respect to U."""
+    """Gradient of the relaxed objective with respect to U:
+    2 abar U + 2 d ((2 r - 1) 1^T - 2 U + C[set_index])."""
     U = _check_u(U, data.num_elements)
     if d < 0:
         raise ValueError("penalty weight must be nonnegative")
-    grad = 2.0 * (data.abar + d * data.p_d) @ U
+    grad = 2.0 * (data.abar @ U)
     if d:
         row_sums = U.sum(axis=1)
-        grad += 2.0 * d * (row_sums[:, None] - U)        # U (1 - I)
-        grad += 2.0 * d * (row_sums - 1.0)[:, None]      # (U 1 - 1) 1^T
+        set_sums = np.add.reduceat(U, data.set_offsets, axis=0)
+        grad += 2.0 * d * ((2.0 * row_sums - 1.0)[:, None] - 2.0 * U
+                           + set_sums[data.set_index])
     return grad
 
 

@@ -1,13 +1,16 @@
 """Projected gradient descent with penalty continuation.
 
 Rows of the iterate live in the capped simplex {x >= 0, sum(x) <= 1}.  Each
-continuation stage minimizes the relaxed objective at a fixed penalty
-weight by projected gradient steps of exact length; the weight then grows
-geometrically, warm-starting from the last iterate, until every entry sits
-within binary_tol of {0, 1} and the rounded matrix is feasible.  Snapping is
-therefore not rounding a fractional solution.  If the weight cap is reached
-first, a greedy repair produces a feasible binary fallback and the result is
-marked not converged.
+continuation stage minimizes the relaxed objective of ``build_relaxation`` at
+a fixed penalty weight by projected gradient steps of exact length; the
+weight then grows geometrically, warm-starting from the last iterate, until
+every entry sits within binary_tol of {0, 1} and the rounded matrix is
+feasible.  Snapping is therefore not rounding a fractional solution.  If the
+weight cap is reached first, a greedy repair produces a feasible binary
+fallback and the result is marked not converged.  The reported
+``relaxed_value`` is that same function at the binary output and the last
+stage's weight, so on a converged solve it agrees with the last stage's
+objective.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ class InnerResult:
     point: np.ndarray
     iterations: int
     objective: float
-    objective_trace: tuple[float, ...]
 
 
 def project(U: np.ndarray) -> np.ndarray:
@@ -182,7 +184,6 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     m = U.shape[0]
     tol = config.resolved_inner_tol(m)
     value = relaxed_objective(U, data, d)
-    trace = [value]
     iterations = 0
     for _ in range(config.max_inner_iters):
         if not np.isfinite(value):
@@ -196,9 +197,7 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
             break  # no strictly decreasing step exists at float precision
         U, value = step.point, step.value
         iterations += 1
-        trace.append(value)
-    return InnerResult(point=U, iterations=iterations, objective=value,
-                       objective_trace=tuple(trace))
+    return InnerResult(point=U, iterations=iterations, objective=value)
 
 
 def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
@@ -253,23 +252,6 @@ def _repair(U: np.ndarray, abar: np.ndarray, set_sizes: tuple[int, ...]) -> np.n
     return repaired
 
 
-def _basin_landscape(data: RelaxationData) -> RelaxationData:
-    """Continuation landscape: the data term with its diagonal removed.
-
-    <UU^T, diag(abar)> takes the same value at every feasible binary point
-    (all row norms are 1), so dropping it changes no optimum of the
-    underlying integer problem.  On fractional iterates, however, the
-    diagonal acts as a row-concentration force as strong as the full
-    modality count; it out-pulls the cross-element attraction and locks
-    rows into singleton columns before the basins have formed.  Binarity
-    is still forced by the growing column-overlap penalty.
-    """
-    abar = data.abar.copy()
-    np.fill_diagonal(abar, 0.0)
-    abar.setflags(write=False)
-    return RelaxationData(abar=abar, p_d=data.p_d, frob_const=data.frob_const)
-
-
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResult:
     """Solve an association instance by penalty continuation.
 
@@ -278,7 +260,6 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     """
     cfg = config if config is not None else SolverConfig()
     data = build_relaxation(instance)
-    landscape = _basin_landscape(data)
     d = cfg.resolved_d_init(instance.modality_count)
     d_max = cfg.resolved_d_max(instance.modality_count)
     U = initialize(instance, cfg)
@@ -288,7 +269,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     binary: np.ndarray | None = None
     d_final = d
     while True:
-        inner = pgd_inner(U, landscape, d, cfg)
+        inner = pgd_inner(U, data, d, cfg)
         U = inner.point
         trace.append(StageRecord(d=d, inner_iterations=inner.iterations,
                                  objective=inner.objective))
@@ -301,7 +282,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
             break
         d *= cfg.d_growth
         if d > d_max:
-            binary = _repair(U, landscape.abar, instance.set_sizes)
+            binary = _repair(U, data.abar, instance.set_sizes)
             break
         # Rows with no net attraction can settle on an equal-spread
         # stationary ridge of the overlap penalty (row sum c/(2c-1) over c

@@ -17,7 +17,7 @@ from fusematch import (
     relaxed_gradient,
     relaxed_objective,
 )
-from fusematch.relax import frobenius_from_mats
+from fusematch.relax import _fuse, frobenius_from_mats
 from fusematch import build_modality_matrices
 
 from conftest import random_feasible_assignment, random_instance
@@ -53,21 +53,42 @@ class TestAggregateMatrix:
         assert data.abar[0, 1] == -4.0
 
     def test_diagonal_equals_minus_modality_count(self):
+        # the exact expansion puts -K on the diagonal; the relaxation folds
+        # that constant, -K per element, into frob_const and keeps a zero
+        # diagonal
         inst = Instance(set_sizes=(2, 1), modality_count=3)
+        fused, fused_const = _fuse(inst)
+        np.testing.assert_array_equal(np.diag(fused), -3.0)
         data = build_relaxation(inst)
-        np.testing.assert_array_equal(np.diag(data.abar), -3.0)
+        np.testing.assert_array_equal(np.diag(data.abar), 0.0)
+        assert data.frob_const == fused_const - 3 * 3
 
-    def test_penalty_matrices(self):
-        inst = Instance(set_sizes=(2, 1), modality_count=1)
+    def test_penalty_matrices(self, rng):
+        # the penalty bracket against the dense form: column overlap
+        # <U^T U, 1 - I>, same-set co-assignment <U U^T, P_d> with P_d the
+        # same-set indicator off the diagonal, and ||U 1 - 1||^2 - m
+        inst = Instance(set_sizes=(2, 1, 3), modality_count=1)
         data = build_relaxation(inst)
-        expected_pd = np.zeros((3, 3))
-        expected_pd[0, 1] = expected_pd[1, 0] = 1.0
-        np.testing.assert_array_equal(data.p_d, expected_pd)
+        m = inst.num_elements
+        p_d = (inst.set_index[:, None] == inst.set_index[None, :]).astype(float)
+        np.fill_diagonal(p_d, 0.0)
+        for c in (m, 2):
+            U = rng.uniform(0.0, 0.6, size=(m, c))
+            gap = U.sum(axis=1) - 1.0
+            bracket = (float((U.T @ U * (1.0 - np.eye(c))).sum())
+                       + float((U @ U.T * p_d).sum()) + float(gap @ gap) - m)
+            assert relaxed_objective(U, data, 1.0) - relaxed_objective(U, data, 0.0) \
+                == pytest.approx(bracket, rel=1e-12, abs=1e-12)
+            dense_grad = (2.0 * (data.abar + p_d) @ U
+                          + 2.0 * (U.sum(axis=1)[:, None] - U) + 2.0 * gap[:, None])
+            np.testing.assert_allclose(relaxed_gradient(U, data, 1.0), dense_grad,
+                                       rtol=1e-12, atol=1e-12)
 
     def test_frob_const(self):
+        # sum_k ||S_k||_F^2 = 2 (1 + 0.9^2) less the folded diagonal, K m = 2
         inst = Instance(set_sizes=(1, 1), modality_count=1, pairs=[(0, 1)], scores=[(0.9,)])
         data = build_relaxation(inst)
-        assert data.frob_const == pytest.approx(2 * (1.0 + 0.9**2), abs=1e-12)
+        assert data.frob_const == pytest.approx(2 * 0.9**2, abs=1e-12)
 
 
 class TestExpansionIdentity:
@@ -232,11 +253,15 @@ class TestFusedDataMatchesDenseStack:
         for inst in _corpus():
             mats = build_modality_matrices(inst).mats
             abar = build_relaxation(inst).abar
-            np.testing.assert_array_equal(abar, inst.modality_count - 2.0 * mats.sum(axis=0))
+            expected = inst.modality_count - 2.0 * mats.sum(axis=0)
+            off = ~np.eye(inst.num_elements, dtype=bool)
+            np.testing.assert_array_equal(abar[off], expected[off])
+            np.testing.assert_array_equal(np.diag(abar), 0.0)
 
     def test_frob_const(self):
         for inst in _corpus():
-            expected = float((build_modality_matrices(inst).mats ** 2).sum())
+            expected = (float((build_modality_matrices(inst).mats ** 2).sum())
+                        - inst.modality_count * inst.num_elements)
             assert build_relaxation(inst).frob_const == pytest.approx(expected, rel=1e-12)
 
     def test_frobenius_objective_binary_and_fractional(self):

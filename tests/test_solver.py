@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,11 @@ from fusematch.solver import armijo_search, initialize, pgd_inner
 from conftest import qp_projection_oracle, random_instance
 
 
-def scalar_relaxation() -> RelaxationData:
-    # 1x1 landscape with zero data term: f(u) = d((u^2 - 2u + 1) - 1) for the
-    # row-sum penalty alone, i.e. (u - 1)^2 - 1 at d = 1
-    return RelaxationData(
-        abar=np.zeros((1, 1)),
-        p_d=np.zeros((1, 1)),
-        frob_const=0.0,
-    )
+def scalar_relaxation(abar: float = 0.0) -> RelaxationData:
+    # one element in one set: f(u) = abar u^2 + d (u^2 - 2u), i.e. the
+    # row-sum penalty (u - 1)^2 - 1 alone at d = 1 when abar is 0
+    return RelaxationData(abar=np.array([[abar]]), frob_const=0.0,
+                          set_offsets=(0,), set_index=np.zeros(1, dtype=np.int64))
 
 
 class TestProjection:
@@ -105,11 +104,7 @@ class TestArmijo:
         # repulsive data term: f(u) = 3u^2 + (u - 1)^2 - 1 has its minimum
         # at u = 0.25, inside the box, so the full step from 0 overshoots
         # and the exact step along the quadratic stops at the minimum
-        data = RelaxationData(
-            abar=np.array([[3.0]]),
-            p_d=np.zeros((1, 1)),
-            frob_const=0.0,
-        )
+        data = scalar_relaxation(abar=3.0)
         U = np.zeros((1, 1))
         res = search_at_d1(U, np.array([[1.0]]), data)
         assert res.accepted
@@ -133,9 +128,9 @@ class TestInnerLoop:
             data = build_relaxation(inst)
             cfg = SolverConfig(rng_seed=int(rng.integers(2**31)))
             U0 = initialize(inst, cfg)
-            res = pgd_inner(U0, data, 0.5, cfg)
-            trace = np.asarray(res.objective_trace)
-            assert np.all(np.diff(trace) <= 1e-9)
+            values = [pgd_inner(U0, data, 0.5, replace(cfg, max_inner_iters=k)).objective
+                      for k in (1, 2, 3, 5, 8, 13, 50)]
+            assert np.all(np.diff(values) <= 1e-9)
 
     def test_reaches_stationarity_on_scalar_problem(self):
         data = scalar_relaxation()
@@ -181,7 +176,7 @@ class TestSolve:
         for _ in range(15):
             inst = random_instance(rng)
             res = solve(inst, SolverConfig(rng_seed=int(rng.integers(2**31))))
-            check_feasible(res.assignment.entries, inst)
+            assert check_feasible(res.assignment.entries, inst).feasible
             assert check_cycle_consistency(pairwise_from_assignment(res.assignment))
             U = res.assignment.entries
             assert np.all((U == 0.0) | (U == 1.0))
@@ -207,6 +202,29 @@ class TestSolve:
             relaxed_objective(full, data, d_final), abs=1e-9
         )
 
+    def test_relaxed_value_is_last_stage_objective(self):
+        # the stages descend build_relaxation's function and relaxed_value is
+        # that function at the binary output, so on a converged solve the two
+        # agree to the last stage's distance from binary
+        rng = np.random.default_rng(77)
+        cases = [random_instance(rng) for _ in range(12)]
+        cases += [generate(SynthConfig(universe_size=10, num_sets=5, modality_count=2,
+                                       noise_sigma=0.15, inconclusive_rate=0.15,
+                                       flip_rate=0.05, outliers_per_run=2,
+                                       rng_seed=seed))[0] for seed in range(3)]
+        converged = 0
+        for seed, inst in enumerate(cases):
+            res = solve(inst, SolverConfig(rng_seed=seed))
+            if not res.converged:
+                continue
+            converged += 1
+            last = res.trace[-1]
+            binary = res.assignment.entries.astype(float)
+            assert res.relaxed_value == relaxed_objective(
+                binary, build_relaxation(inst), last.d)
+            assert res.relaxed_value == pytest.approx(last.objective, rel=1e-6)
+        assert converged >= 12
+
     def test_repair_fallback_flagged(self):
         # a ceiling on the penalty weight below anything useful forces the
         # repair path
@@ -214,10 +232,10 @@ class TestSolve:
                           flip_rate=0.3, rng_seed=1)
         inst, _ = generate(cfg)
         res = solve(inst, SolverConfig(rng_seed=0, d_init=1e-9, d_max=2e-9))
-        check_feasible(res.assignment.entries, inst)
-        if not res.converged:
-            U = res.assignment.entries
-            assert np.all((U == 0.0) | (U == 1.0))
+        assert not res.converged
+        assert check_feasible(res.assignment.entries, inst).feasible
+        U = res.assignment.entries
+        assert np.all((U == 0.0) | (U == 1.0))
 
     def test_trace_records_stages(self, rng):
         inst = random_instance(rng)
