@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Instance, PairwiseTable, clusters_from_assignment,
-                   co_clustered_pairs, pairwise_from_matrix)
+                   co_clustered_pairs)
 from .oracle import solve_exact
 from .solver import SolverConfig, solve
 from .synth import (DEFAULT_SUITE_BASE, MULTIMODAL_PROFILES, SynthConfig,
@@ -160,12 +160,12 @@ def consecutive_matches(instance: Instance) -> frozenset[tuple[int, int]]:
 
 def pairwise_from_matches(matches: frozenset[tuple[int, int]],
                           set_sizes: Sequence[int]) -> PairwiseTable:
-    """Cross-set match matrices from a raw pair set; same-set pairs are ignored."""
+    """Cross-set match matrix from a raw pair set; same-set pairs are ignored."""
     m = sum(int(s) for s in set_sizes)
-    match = np.zeros((m, m), dtype=np.int64)
+    match = np.zeros((m, m), dtype=bool)
     a, b = np.array(sorted(matches), dtype=np.int64).reshape(-1, 2).T
-    match[a, b] = match[b, a] = 1
-    return pairwise_from_matrix(match, set_sizes)
+    match[a, b] = match[b, a] = True
+    return PairwiseTable(set_sizes, match)
 
 
 def ablation(trials: int, base_seed: int = 0, *,

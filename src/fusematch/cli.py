@@ -151,13 +151,17 @@ def _score_arrays(entries: list, m: int, count: int,
     return pairs, np.array(values, dtype=np.float64).reshape(n, count)
 
 
-def read_instance(path: str | Path) -> Instance:
-    data = _load_json(path)
-    _require_fields(data, INSTANCE_FIELDS, {"set_sizes", "modalities", "scores"}, str(path))
-    sizes = data["set_sizes"]
+def _set_sizes(sizes, path: str | Path) -> list[int]:
     if (not isinstance(sizes, list) or not sizes
             or not all(type(s) is int and s >= 1 for s in sizes)):
         raise FileFormatError(f"{path}: set_sizes: expected positive integers")
+    return sizes
+
+
+def read_instance(path: str | Path) -> Instance:
+    data = _load_json(path)
+    _require_fields(data, INSTANCE_FIELDS, {"set_sizes", "modalities", "scores"}, str(path))
+    sizes = _set_sizes(data["set_sizes"], path)
     count = data["modalities"]
     if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
@@ -197,10 +201,7 @@ def write_instance(instance: Instance, path: str | Path | None,
 def read_truth(path: str | Path) -> GroundTruth:
     data = _load_json(path)
     _require_fields(data, TRUTH_FIELDS, TRUTH_FIELDS, str(path))
-    sizes, labels = data["set_sizes"], data["labels"]
-    if (not isinstance(sizes, list) or not sizes
-            or not all(type(s) is int and s >= 1 for s in sizes)):
-        raise FileFormatError(f"{path}: set_sizes: expected positive integers")
+    sizes, labels = _set_sizes(data["set_sizes"], path), data["labels"]
     if not isinstance(labels, list) or not all(type(x) is int for x in labels):
         raise FileFormatError(f"{path}: labels: expected integers")
     if len(labels) != sum(sizes):

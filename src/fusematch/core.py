@@ -6,6 +6,9 @@ scores as two arrays, the element pairs (P, 2) and their per-modality
 scores (P, K); every other layer reads those arrays.  An assignment is a
 binary matrix with one row per element; rows that share a column belong to
 one cluster and are claimed to be views of the same underlying object.
+Pairwise matches are one symmetric boolean m-by-m matrix, the cross-set
+part of U U^T for an assignment U; they are cycle consistent exactly when
+they are that for some one-hot U.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -182,21 +185,17 @@ def feasibility_report(entries: np.ndarray, set_sizes: Sequence[int]) -> Feasibi
     """Check the one-to-one and distinctness constraints of a binary matrix."""
     U = np.asarray(entries)
     sizes = tuple(int(s) for s in set_sizes)
+    if not sizes or any(s < 1 for s in sizes):   # reduceat needs increasing offsets
+        raise ValueError("set_sizes must be positive")
     m = sum(sizes)
     if U.ndim != 2 or U.shape[0] != m:
         raise ValueError(f"expected a matrix with {m} rows, got shape {U.shape}")
     if not np.isin(U, (0, 1)).all():
         raise ValueError("assignment entries must be binary")
-    row_sums = U.sum(axis=1)
-    rows = tuple(int(r) for r in np.flatnonzero(row_sums != 1))
-    cols: list[tuple[int, int]] = []
-    offset = 0
-    for i, size in enumerate(sizes):
-        block_sums = U[offset:offset + size].sum(axis=0)
-        for c in np.flatnonzero(block_sums > 1):
-            cols.append((i, int(c)))
-        offset += size
-    return FeasibilityReport(rows, tuple(cols))
+    rows = tuple(int(r) for r in np.flatnonzero(U.sum(axis=1) != 1))
+    column_sums = np.add.reduceat(U, np.cumsum((0,) + sizes[:-1]), axis=0, dtype=np.int64)
+    cols = tuple((int(i), int(c)) for i, c in np.argwhere(column_sums > 1))
+    return FeasibilityReport(rows, cols)
 
 
 def check_feasible(entries: np.ndarray, instance: Instance) -> FeasibilityReport:
@@ -318,112 +317,68 @@ def assignment_from_clusters(labels: Sequence, set_sizes: Sequence[int]) -> Assi
 
 @dataclass(frozen=True)
 class PairwiseTable:
-    """Binary cross-set match matrices, one block per unordered set pair.
+    """Binary cross-set matches as one symmetric m-by-m matrix.
 
-    Blocks are stored under (i, j) with i < j; asking for (j, i) returns the
-    transpose.  Construction accepts either orientation and rejects
-    non-binary blocks, shape mismatches, and inconsistent transposes.
+    ``match[a, b]`` is True when elements a and b, of different sets, are
+    claimed to be the same object; block (i, j) is the set-pair match
+    matrix P_ij.  For an assignment U it is the cross-set part of U U^T.
+    Construction rejects a matrix that is not binary, not m-by-m or not
+    symmetric, and zeroes the within-set entries, the diagonal included:
+    they claim nothing.  The stored matrix is read-only bool.
     """
 
     set_sizes: tuple[int, ...]
-    blocks: Mapping[tuple[int, int], np.ndarray]
+    match: np.ndarray
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.set_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("set_sizes must be positive")
-        canon: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), raw in dict(self.blocks).items():
-            i, j = int(i), int(j)
-            if i == j or not (0 <= i < len(sizes) and 0 <= j < len(sizes)):
-                raise ValueError(f"block ({i}, {j}): invalid set pair")
-            values = np.asarray(raw)
-            if values.ndim != 2 or not np.isin(values, (0, 1)).all():
-                raise ValueError(f"block ({i}, {j}): entries must be binary")
-            block = values.astype(np.int64)
-            if i > j:
-                i, j, block = j, i, block.T
-            if block.shape != (sizes[i], sizes[j]):
-                raise ValueError(
-                    f"block ({i}, {j}): expected shape {(sizes[i], sizes[j])}, got {block.shape}")
-            if (i, j) in canon:
-                if not np.array_equal(canon[(i, j)], block):
-                    raise ValueError(f"block ({i}, {j}): asymmetric, transpose pair disagrees")
-                continue
-            block.setflags(write=False)
-            canon[(i, j)] = block
+        m = sum(sizes)
+        raw = np.asarray(self.match)
+        if raw.shape != (m, m):
+            raise ValueError(f"expected a {m}-by-{m} match matrix, got shape {raw.shape}")
+        if not np.isin(raw, (0, 1)).all():
+            raise ValueError("match entries must be binary")
+        match = raw.astype(bool)
+        if not np.array_equal(match, match.T):
+            raise ValueError("match matrix must be symmetric")
+        set_index = np.repeat(np.arange(len(sizes)), sizes)
+        match &= set_index[:, None] != set_index[None, :]
+        match.setflags(write=False)
         object.__setattr__(self, "set_sizes", sizes)
-        object.__setattr__(self, "blocks", canon)
-
-    @property
-    def num_sets(self) -> int:
-        return len(self.set_sizes)
-
-    def has_block(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.blocks
+        object.__setattr__(self, "match", match)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        if i < j:
-            return self.blocks[(i, j)]
-        return self.blocks[(j, i)].T
-
-
-def pairwise_from_matrix(match: np.ndarray, set_sizes: Sequence[int]) -> PairwiseTable:
-    """Cross-set blocks of a symmetric m-by-m binary match matrix."""
-    sizes = tuple(int(s) for s in set_sizes)
-    cut = np.cumsum((0,) + sizes)
-    return PairwiseTable(sizes, {
-        (i, j): match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]]
-        for i in range(len(sizes)) for j in range(i + 1, len(sizes))})
+        cut = np.cumsum((0,) + self.set_sizes)
+        return self.match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]]
 
 
 def pairwise_from_assignment(assignment: Assignment) -> PairwiseTable:
-    """Cross-set match matrices P_ij = U_i U_j^T induced by an assignment."""
+    """Cross-set match matrix U U^T induced by an assignment."""
     U = assignment.entries
-    return pairwise_from_matrix(U @ U.T, assignment.set_sizes)
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+    return PairwiseTable(assignment.set_sizes, U @ U.T)
 
 
 def check_cycle_consistency(table: PairwiseTable) -> bool:
     """Whether pairwise matches compose transitively into a valid clustering.
 
-    Takes the union-find closure of all asserted matches and demands that
-    every component is a clique in the table with at most one element per
-    set, i.e. that two distinct elements share a component exactly when the
-    table matches them.  Raises on an incomplete table or on a block whose
-    row or column sums exceed one.
+    Raises when an element matches more than one element of some set.
+    Otherwise the matches are cycle consistent exactly when R = match | I,
+    reflexive and symmetric by construction, is also transitive, i.e. an
+    equivalence relation.  That holds exactly when every row R[a] equals
+    R[f(a)], where f(a) is the first element a relates to.  An equivalence
+    has equal rows within a class, f(a)'s included.  Conversely, let a ~ b:
+    b lies in R[a] = R[f(a)], so f(a) lies in R[b] and f(b) <= f(a); in the
+    same way f(a) <= f(b).  Neighbours share their first element, so they
+    share rows, and a ~ b, b ~ c give c in R[b] = R[a].
     """
-    sizes = table.set_sizes
-    cut = np.cumsum((0,) + sizes)
-    match = np.zeros((cut[-1], cut[-1]), dtype=bool)
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            if not table.has_block(i, j):
-                raise ValueError(f"block ({i}, {j}): missing from table")
-            block = table.block(i, j)
-            if (block.sum(axis=1) > 1).any() or (block.sum(axis=0) > 1).any():
-                raise ValueError(
-                    f"block ({i}, {j}): row or column asserts more than one match")
-            match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]] = block
-    uf = _UnionFind(len(match))
-    for a, b in zip(*np.nonzero(match)):
-        uf.union(int(a), int(b))
-    component = np.array([uf.find(a) for a in range(len(match))])
-    together = component[:, None] == component[None, :]
-    np.fill_diagonal(together, False)
-    return bool(np.array_equal(together, match | match.T))
+    match = table.match
+    per_set = np.add.reduceat(match, np.cumsum((0,) + table.set_sizes[:-1]),
+                              axis=1, dtype=np.int64)   # bool reduceat may OR
+    over = np.argwhere(per_set > 1)
+    if len(over):
+        a, i = over[0]
+        raise ValueError(f"element {a} matches more than one element of set {i}")
+    R = match | np.eye(len(match), dtype=bool)
+    return bool((R == R[R.argmax(axis=1)]).all())

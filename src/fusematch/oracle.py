@@ -152,26 +152,22 @@ def solve_exact(instance: Instance,
     collect_all = cfg.report_all_optima
 
     best_value = np.inf          # exact running minimum, used for pruning
-    kept: list[int] | None = None
-    kept_value = np.inf
     candidates: list[tuple[float, list[int]]] = []
 
     def rec(t: int, pairsum: float) -> None:
-        nonlocal best_value, kept, kept_value
+        nonlocal best_value
         bound = pairsum + lower[t]
+        # The strict rule of the default mode never prunes the first leaf
+        # within TIE_TOL of the optimum: every earlier leaf lies above it.
         if collect_all:
             if bound > best_value + TIE_TOL:
                 return
         elif bound >= best_value:
             return
         if t == m:
-            if pairsum < best_value:
-                best_value = pairsum
-            if collect_all and pairsum <= best_value + TIE_TOL:
+            best_value = min(best_value, pairsum)
+            if pairsum <= best_value + TIE_TOL:
                 candidates.append((pairsum, labels.copy()))
-            if kept is None or pairsum < kept_value - 1e-12:
-                kept = labels.copy()
-                kept_value = pairsum
             return
         row = abar_rows[t]
         bit = 1 << set_index[t]
@@ -193,18 +189,11 @@ def solve_exact(instance: Instance,
         cluster_sets.pop()
 
     rec(0, 0.0)
-    if collect_all:
-        vmin = min(v for v, _ in candidates)
-        tied = [(v, lab) for v, lab in candidates if v <= vmin + TIE_TOL]
-        first_value, first_labels = tied[0]
-        optima = tuple(
-            assignment_from_clusters(lab, instance.set_sizes) for _, lab in tied)
-        assignment = optima[0]
-    else:
-        assert kept is not None
-        first_value, first_labels = kept_value, kept
-        assignment = assignment_from_clusters(first_labels, instance.set_sizes)
-        optima = (assignment,)
+    vmin = min(v for v, _ in candidates)
+    tied = [(v, lab) for v, lab in candidates if v <= vmin + TIE_TOL]
+    optima = tuple(assignment_from_clusters(lab, instance.set_sizes)
+                   for _, lab in (tied if collect_all else tied[:1]))
+    assignment, first_value = optima[0], tied[0][0]
     value = frobenius_objective(assignment.entries, instance)
     incremental = base + first_value
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):

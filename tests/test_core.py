@@ -189,6 +189,17 @@ class TestFeasibility:
         with pytest.raises(InfeasibleAssignmentError):
             Assignment(entries=np.array([[1.7], [1.0]]), set_sizes=(1, 1))
 
+    def test_column_violations_in_set_then_column_order(self):
+        entries = np.array([[0, 1, 1], [0, 1, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])
+        report = feasibility_report(entries, (2, 3))
+        assert report.column_violations == ((0, 1), (0, 2), (1, 0))
+        assert report.row_violations == (0, 1)
+
+    @pytest.mark.parametrize("sizes", [(), (2, 0)])
+    def test_nonpositive_set_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="set_sizes"):
+            feasibility_report(np.eye(2), sizes)
+
     def test_check_feasible_flags_collision(self):
         inst = make_instance(set_sizes=(2,))
         report = check_feasible(np.array([[1.0], [1.0]]), inst)
@@ -236,13 +247,29 @@ class TestPairwiseTable:
         np.testing.assert_array_equal(table.block(0, 1), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_rejects_nonbinary_block(self):
+        with pytest.raises(ValueError, match="binary"):
+            PairwiseTable(set_sizes=(1, 1), match=np.array([[0.0, 0.4], [0.4, 0.0]]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="3-by-3"):
+            PairwiseTable(set_sizes=(1, 1, 1), match=np.zeros((2, 2)))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            PairwiseTable(set_sizes=(1, 1), match=np.array([[0, 1], [0, 0]]))
+
+    def test_within_set_entries_zeroed(self):
+        table = PairwiseTable(set_sizes=(2, 1), match=np.ones((3, 3)))
+        assert table.match.dtype == bool
+        np.testing.assert_array_equal(table.match, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         with pytest.raises(ValueError):
-            PairwiseTable(set_sizes=(1, 1), blocks={(0, 1): np.array([[0.4]])})
+            table.match[0, 2] = False
 
     def test_rejects_row_sum_above_one(self):
-        bad = np.array([[1.0, 1.0], [0.0, 0.0]])
-        table = PairwiseTable(set_sizes=(2, 2), blocks={(0, 1): bad})
-        with pytest.raises(ValueError):
+        match = np.zeros((4, 4))
+        match[0, 2:] = match[2:, 0] = 1
+        table = PairwiseTable(set_sizes=(2, 2), match=match)
+        with pytest.raises(ValueError, match="element 0 matches more than one element of set 1"):
             check_cycle_consistency(table)
 
 
@@ -252,20 +279,8 @@ class TestCycleConsistency:
         assert check_cycle_consistency(pairwise_from_assignment(a))
 
     def test_broken_triangle(self):
-        one = np.array([[1.0]])
-        zero = np.array([[0.0]])
-        table = PairwiseTable(
-            set_sizes=(1, 1, 1),
-            blocks={(0, 1): one, (1, 2): one, (0, 2): zero},
-        )
-        assert not check_cycle_consistency(table)
-
-    def test_missing_block_raises(self):
-        one = np.array([[1.0]])
-        with pytest.raises(ValueError):
-            check_cycle_consistency(
-                PairwiseTable(set_sizes=(1, 1, 1), blocks={(0, 1): one, (1, 2): one})
-            )
+        match = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert not check_cycle_consistency(PairwiseTable(set_sizes=(1, 1, 1), match=match))
 
     def test_random_assignments_are_cycle_consistent(self):
         rng = np.random.default_rng(7)
@@ -276,6 +291,34 @@ class TestCycleConsistency:
                 continue
             a = random_feasible_assignment(rng, sizes)
             assert check_cycle_consistency(pairwise_from_assignment(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cycle_consistency_is_transitivity_property(data):
+    # the row test against the definition: R = match | I is transitive,
+    # (R R > 0) within R, unless an element matches two of one set
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    m = sum(sizes)
+    if data.draw(st.booleans()):
+        U = random_feasible_assignment(rng, sizes).entries.astype(np.int64)
+        match = U @ U.T
+    else:
+        match = np.zeros((m, m), dtype=np.int64)
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = rng.integers(0, m, 2)
+        match[a, b] = match[b, a] = 1 - match[a, b]
+    table = PairwiseTable(sizes, match)
+    set_index = np.repeat(np.arange(len(sizes)), sizes)
+    per_set = np.zeros((m, len(sizes)), dtype=np.int64)
+    np.add.at(per_set, (slice(None), set_index), table.match.astype(np.int64))
+    if (per_set > 1).any():
+        with pytest.raises(ValueError):
+            check_cycle_consistency(table)
+        return
+    R = (table.match | np.eye(m, dtype=bool)).astype(np.int64)
+    assert check_cycle_consistency(table) == bool(((R @ R > 0) <= (R > 0)).all())
 
 
 @settings(max_examples=60, deadline=None)

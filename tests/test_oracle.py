@@ -99,13 +99,12 @@ class TestSolveExact:
             if inst.num_elements > 7:
                 continue
             res = solve_exact(inst)
-            best_val, best_a = np.inf, None
-            for a in enumerate_feasible(inst):
-                v = frobenius_objective(a.entries, inst)
-                if v < best_val - 1e-12:
-                    best_val, best_a = v, a
+            listed = list(enumerate_feasible(inst))
+            values = [frobenius_objective(a.entries, inst) for a in listed]
+            best_val = min(values)
+            first = next(a for a, v in zip(listed, values) if v <= best_val + TIE_TOL)
             assert res.value == pytest.approx(best_val, abs=1e-8)
-            np.testing.assert_array_equal(res.assignment.entries, best_a.entries)
+            np.testing.assert_array_equal(res.assignment.entries, first.entries)
 
     def test_never_above_solver(self, rng):
         count = 0
@@ -135,6 +134,14 @@ class TestSolveExact:
         expected = listed[values.index(vmin)]
         np.testing.assert_array_equal(res.assignment.entries, expected.entries)
         assert len(res.optima) == sum(v <= vmin + TIE_TOL for v in values)
+
+    @pytest.mark.parametrize("report_all", [False, True])
+    def test_near_tie_goes_to_first_assignment(self, report_all):
+        # merging costs 4e-10 more than keeping apart, inside TIE_TOL, so the
+        # merge, first in enumeration order, wins in both modes
+        inst = Instance((1, 1), 1, [[0, 1]], [[0.5 - 1e-10]])
+        res = solve_exact(inst, OracleConfig(report_all_optima=report_all))
+        assert res.assignment.num_clusters == 1
 
     def test_objective_equivalence_of_expansions(self, rng):
         # minimizing the residual form and minimizing the aggregate inner

@@ -49,3 +49,26 @@ def test_byte_counters_read_the_path_parameters():
     read = list(inspect.signature(fusematch.cli.read_instance).parameters)
     assert written[:2] == ["instance", "path"]
     assert read[:1] == ["path"]
+
+
+def test_tracer_counts_a_solve_and_an_oracle_call():
+    # the tracer reads args[3].max_inner_iters of pgd_inner and .accepted of
+    # armijo_search's result; a signature change breaks those reads only
+    # under tracing, so run one traced solve and one traced oracle call
+    import fusematch.oracle
+    import fusematch.solver
+    from fusematch import SolverConfig, SynthConfig, generate
+
+    tracing = _load_tracing()
+    instance, _ = generate(SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.2,
+                                       rng_seed=1))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        fusematch.solver.solve(instance, SolverConfig(rng_seed=0))
+        fusematch.oracle.solve_exact(instance)
+    finally:
+        tracer.uninstall()
+    for counter in ("solver.stage.calls", "solver.inner_iters", "solver.linesearch.calls",
+                    "solver.linesearch_accepted", "oracle.solve_exact.calls"):
+        assert tracer.counts[counter] > 0, counter
