@@ -14,8 +14,8 @@ read_instance checks the entries column by column with numpy, reports the
 lowest faulty entry, stores entry i as row i, and leaves the score values
 to Instance.
 Result files carry clusters, both objective values, the convergence flag, a
-continuation trace and the effective solver configuration; runs are
-byte-reproducible for a fixed seed.
+continuation trace and the SolverConfig fields; runs are byte-reproducible
+for a fixed seed.
 
 Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
 1 error.
@@ -57,7 +57,6 @@ RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
 TRUTH_FIELDS = {"set_sizes", "labels"}
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 
-_SOLVER_FLAGS = tuple(f for f in SolverConfig.__dataclass_fields__ if f != "rng_seed")
 # sweep defaults of the bench shape flags; the ablation's are DEFAULT_SUITE_BASE
 SWEEP_SHAPE = {"universe_size": 3, "num_sets": 3, "observe_prob": 1.0,
                "outliers": "0,1,2,3"}
@@ -252,38 +251,11 @@ def read_result(path: str | Path) -> dict:
     return data
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    fields: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        data = _load_json(args.config)
-        allowed = set(SolverConfig.__dataclass_fields__)
-        _require_fields(data, allowed, set(), str(args.config))
-        fields.update(data)
-    for name in _SOLVER_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    if getattr(args, "seed", None) is not None:
-        fields["rng_seed"] = args.seed
-    try:
-        return SolverConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"solver configuration: {exc}") from exc
-
-
-def _config_echo(cfg: SolverConfig, instance: Instance) -> dict:
-    echo = asdict(cfg)
-    echo["d_init"] = cfg.resolved_d_init(instance.modality_count)
-    echo["d_max"] = cfg.resolved_d_max(instance.modality_count)
-    echo["inner_tol"] = cfg.resolved_inner_tol(instance.num_elements)
-    return echo
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(rng_seed=args.seed)
     result = solve(instance, cfg)
-    _dump_json(result_payload(result, _config_echo(cfg, instance)), args.out)
+    _dump_json(result_payload(result, asdict(cfg)), args.out)
     labeling = clusters_from_assignment(result.assignment)
     print(f"converged={result.converged} clusters={labeling.num_clusters} "
           f"frobenius={result.frobenius_value:.6g} relaxed={result.relaxed_value:.6g}")
@@ -418,16 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--config", help="JSON file with solver fields")
-    p_solve.add_argument("--seed", type=int, help="overrides rng_seed")
+    p_solve.add_argument("--seed", type=int, default=0, help="solver seed (rng_seed)")
     p_solve.add_argument("--truth", help="truth file; prints precision/recall/F1")
     p_solve.add_argument("--out", help="result file path (default: stdout)")
-    p_solve.add_argument("--d-init", dest="d_init", type=float)
-    p_solve.add_argument("--d-growth", dest="d_growth", type=float)
-    p_solve.add_argument("--d-max", dest="d_max", type=float)
-    p_solve.add_argument("--inner-tol", dest="inner_tol", type=float)
-    p_solve.add_argument("--max-inner-iters", dest="max_inner_iters", type=int)
-    p_solve.add_argument("--binary-tol", dest="binary_tol", type=float)
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive exact solve (small instances)")

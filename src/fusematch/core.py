@@ -203,7 +203,7 @@ def check_feasible(entries: np.ndarray, instance: Instance) -> FeasibilityReport
     return feasibility_report(entries, instance.set_sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """Binary element-to-cluster matrix; construction enforces feasibility."""
 
@@ -227,6 +227,12 @@ class Assignment:
         U.setflags(write=False)
         object.__setattr__(self, "entries", U)
         object.__setattr__(self, "set_sizes", sizes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return (self.set_sizes == other.set_sizes
+                and np.array_equal(self.entries, other.entries))
 
     @classmethod
     def from_full_matrix(cls, entries: np.ndarray, set_sizes: Sequence[int]) -> "Assignment":
@@ -315,7 +321,7 @@ def assignment_from_clusters(labels: Sequence, set_sizes: Sequence[int]) -> Assi
     return Assignment(entries, sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairwiseTable:
     """Binary cross-set matches as one symmetric m-by-m matrix.
 
@@ -349,15 +355,26 @@ class PairwiseTable:
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "match", match)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairwiseTable):
+            return NotImplemented
+        return (self.set_sizes == other.set_sizes
+                and np.array_equal(self.match, other.match))
+
     def block(self, i: int, j: int) -> np.ndarray:
         cut = np.cumsum((0,) + self.set_sizes)
         return self.match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]]
 
 
 def pairwise_from_assignment(assignment: Assignment) -> PairwiseTable:
-    """Cross-set match matrix U U^T induced by an assignment."""
-    U = assignment.entries
-    return PairwiseTable(assignment.set_sizes, U @ U.T)
+    """Cross-set match matrix U U^T induced by an assignment.
+
+    Every row of U has one 1, so (U U^T)[a, b] says whether a and b share a
+    column; comparing column labels gives it without an integer matmul,
+    which numpy runs without BLAS.
+    """
+    labels = assignment.entries.argmax(axis=1)
+    return PairwiseTable(assignment.set_sizes, labels[:, None] == labels[None, :])
 
 
 def check_cycle_consistency(table: PairwiseTable) -> bool:

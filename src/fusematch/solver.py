@@ -4,7 +4,7 @@ Rows of the iterate live in the capped simplex {x >= 0, sum(x) <= 1}.  Each
 continuation stage minimizes the relaxed objective of ``build_relaxation`` at
 a fixed penalty weight by projected gradient steps of exact length; the
 weight then grows geometrically, warm-starting from the last iterate, until
-every entry sits within binary_tol of {0, 1} and the rounded matrix is
+every entry sits within BINARY_TOL of {0, 1} and the rounded matrix is
 feasible.  Snapping is therefore not rounding a fractional solution.  If the
 weight cap is reached first, a greedy repair produces a feasible binary
 fallback and the result is marked not converged.  The reported
@@ -16,6 +16,7 @@ objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,46 +26,32 @@ from .relax import (RelaxationData, build_relaxation, frobenius_objective,
 
 ARMIJO_SIGMA = 1e-4  # sufficient-decrease fraction of the model's slope
 STAGE_JITTER = 1e-3  # warm-start perturbation between continuation stages
+D_INIT = 0.01  # first stage's penalty weight, per modality
+D_GROWTH = 2.0  # penalty weight factor from one stage to the next
+D_MAX = 1e4  # penalty weight cap, per modality; past it the repair runs
+INNER_TOL = 1e-6  # a stage stops at ||D|| <= INNER_TOL per element
+BINARY_TOL = 1e-3  # converged once every entry is this close to {0, 1}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.  d_init, d_max and inner_tol default to None, meaning
-    0.01 * modality_count, 1e4 * modality_count and 1e-6 * num_elements
-    resolved against the instance at solve time."""
+    """Solver settings: the seed of the start and of the stage jitter, and
+    the inner iteration cap.  The continuation schedule is the constants
+    D_INIT, D_GROWTH, D_MAX, INNER_TOL and BINARY_TOL."""
 
-    d_init: float | None = None
-    d_growth: float = 2.0
-    d_max: float | None = None
-    inner_tol: float | None = None
     max_inner_iters: int = 1000
-    binary_tol: float = 1e-3
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_init is not None and self.d_init < 0:
-            raise ValueError("d_init must be nonnegative")
-        if self.d_growth <= 1:
-            raise ValueError("d_growth must exceed 1")
-        if self.d_max is not None and self.d_max <= 0:
-            raise ValueError("d_max must be positive")
-        if self.inner_tol is not None and self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive")
+        for name in ("max_inner_iters", "rng_seed"):
+            value = getattr(self, name)
+            # a float or bool would fail later, deep inside range or SeedSequence
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_inner_iters < 1:
             raise ValueError("max_inner_iters must be at least 1")
-        if not 0 < self.binary_tol < 0.5:
-            raise ValueError("binary_tol must lie in (0, 0.5)")
-        if int(self.rng_seed) < 0:
+        if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
-
-    def resolved_d_init(self, modality_count: int) -> float:
-        return 0.01 * modality_count if self.d_init is None else self.d_init
-
-    def resolved_d_max(self, modality_count: int) -> float:
-        return 1e4 * modality_count if self.d_max is None else self.d_max
-
-    def resolved_inner_tol(self, num_elements: int) -> float:
-        return 1e-6 * num_elements if self.inner_tol is None else self.inner_tol
 
 
 @dataclass(frozen=True)
@@ -177,12 +164,12 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     """Minimize the relaxed objective at fixed d from a feasible start.
 
     One projection per iteration gives the search direction D =
-    project(U - grad) - U; stops when ||D|| <= inner_tol (default 1e-6 * m),
-    after max_inner_iters steps, or when no step decreases the objective.
+    project(U - grad) - U; stops when ||D|| <= INNER_TOL * m, after
+    config.max_inner_iters steps, or when no step decreases the objective.
     """
     U = project(np.asarray(U0, dtype=float))
     m = U.shape[0]
-    tol = config.resolved_inner_tol(m)
+    tol = INNER_TOL * m
     value = relaxed_objective(U, data, d)
     iterations = 0
     for _ in range(config.max_inner_iters):
@@ -260,8 +247,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     """
     cfg = config if config is not None else SolverConfig()
     data = build_relaxation(instance)
-    d = cfg.resolved_d_init(instance.modality_count)
-    d_max = cfg.resolved_d_max(instance.modality_count)
+    d = D_INIT * instance.modality_count
+    d_max = D_MAX * instance.modality_count
     U = initialize(instance, cfg)
     jitter_rng = np.random.default_rng((cfg.rng_seed, 1))
     trace: list[StageRecord] = []
@@ -275,12 +262,12 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
                                  objective=inner.objective))
         d_final = d
         rounded = np.rint(U)
-        if (np.abs(U - rounded).max() <= cfg.binary_tol
+        if (np.abs(U - rounded).max() <= BINARY_TOL
                 and feasibility_report(rounded, instance.set_sizes).feasible):
             converged = True
             binary = rounded.astype(np.int64)
             break
-        d *= cfg.d_growth
+        d *= D_GROWTH
         if d > d_max:
             binary = _repair(U, data.abar, instance.set_sizes)
             break

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fusematch import (
     Assignment,
+    GroundTruth,
     InfeasibleAssignmentError,
     Instance,
     InvalidInstanceError,
@@ -234,6 +235,17 @@ class TestAssignment:
     def test_canonical_labels_first_appearance(self):
         assert canonical_labels([5, 2, 5, 7]) == (0, 1, 0, 2)
 
+    def test_equality_compares_entries(self):
+        # the default dataclass __eq__ raised on the ndarray field
+        a = assignment_from_clusters([0, 1, 1, 0], (2, 2))
+        assert a == assignment_from_clusters([0, 1, 1, 0], (2, 2))
+        assert a != assignment_from_clusters([0, 1, 0, 1], (2, 2))
+        assert (assignment_from_clusters([0, 1, 2, 3], (2, 2))
+                != assignment_from_clusters([0, 1, 2, 3], (1, 3)))
+        truth = GroundTruth.from_labels([0, 1, 1, 0], (2, 2))
+        assert truth == GroundTruth.from_labels([0, 1, 1, 0], (2, 2))
+        assert truth != GroundTruth.from_labels([0, 1, 0, 1], (2, 2))
+
 
 class TestPairwiseTable:
     def test_block_transpose_for_reversed_order(self):
@@ -245,6 +257,23 @@ class TestPairwiseTable:
         a = assignment_from_clusters([0, 1, 1, 0], (2, 2))
         table = pairwise_from_assignment(a)
         np.testing.assert_array_equal(table.block(0, 1), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_equality_compares_match(self):
+        table = pairwise_from_assignment(assignment_from_clusters([0, 1, 1, 0], (2, 2)))
+        assert table == pairwise_from_assignment(
+            assignment_from_clusters([0, 1, 1, 0], (2, 2)))
+        assert table != pairwise_from_assignment(
+            assignment_from_clusters([0, 1, 2, 3], (2, 2)))
+
+    def test_from_assignment_is_cross_set_part_of_u_ut(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 5)))
+            a = random_feasible_assignment(rng, sizes)
+            set_index = np.repeat(np.arange(len(sizes)), sizes)
+            U = a.entries
+            expected = (U @ U.T > 0) & (set_index[:, None] != set_index[None, :])
+            np.testing.assert_array_equal(pairwise_from_assignment(a).match, expected)
 
     def test_rejects_nonbinary_block(self):
         with pytest.raises(ValueError, match="binary"):

@@ -21,6 +21,7 @@ from fusematch import (
     relaxed_objective,
     solve,
 )
+from fusematch import solver as solver_module
 from fusematch.relax import RelaxationData, relaxed_gradient, relaxed_objective
 from fusematch.solver import armijo_search, initialize, pgd_inner
 
@@ -134,8 +135,7 @@ class TestInnerLoop:
 
     def test_reaches_stationarity_on_scalar_problem(self):
         data = scalar_relaxation()
-        cfg = SolverConfig(inner_tol=1e-8)
-        res = pgd_inner(np.zeros((1, 1)), data, 1.0, cfg)
+        res = pgd_inner(np.zeros((1, 1)), data, 1.0, SolverConfig())
         assert res.point[0, 0] == pytest.approx(1.0, abs=1e-7)
 
     def test_final_point_stays_in_feasible_box(self, rng):
@@ -225,13 +225,15 @@ class TestSolve:
             assert res.relaxed_value == pytest.approx(last.objective, rel=1e-6)
         assert converged >= 12
 
-    def test_repair_fallback_flagged(self):
+    def test_repair_fallback_flagged(self, monkeypatch):
         # a ceiling on the penalty weight below anything useful forces the
         # repair path
         cfg = SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.3,
                           flip_rate=0.3, rng_seed=1)
         inst, _ = generate(cfg)
-        res = solve(inst, SolverConfig(rng_seed=0, d_init=1e-9, d_max=2e-9))
+        monkeypatch.setattr(solver_module, "D_INIT", 1e-9)
+        monkeypatch.setattr(solver_module, "D_MAX", 2e-9)
+        res = solve(inst, SolverConfig(rng_seed=0))
         assert not res.converged
         assert check_feasible(res.assignment.entries, inst).feasible
         U = res.assignment.entries
@@ -248,13 +250,19 @@ class TestSolve:
 class TestSolverConfig:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            SolverConfig(d_growth=1.0)
+            SolverConfig(max_inner_iters=0)
         with pytest.raises(ValueError):
-            SolverConfig(binary_tol=0.6)
+            SolverConfig(rng_seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", 1.5), ("rng_seed", True), ("max_inner_iters", 2.5),
+        ("max_inner_iters", True)])
+    def test_rejects_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
     def test_derived_defaults_resolve_per_instance(self):
+        # the first stage's penalty weight is D_INIT = 0.01 per modality
         inst = Instance(set_sizes=(2, 2), modality_count=3)
-        cfg = SolverConfig()
-        assert cfg.resolved_d_init(inst.modality_count) == pytest.approx(0.03)
-        assert cfg.resolved_d_max(inst.modality_count) == pytest.approx(3e4)
-        assert cfg.resolved_inner_tol(inst.num_elements) == pytest.approx(4e-6)
+        res = solve(inst, SolverConfig())
+        assert res.trace[0].d == 0.01 * 3
