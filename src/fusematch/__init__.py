@@ -8,9 +8,8 @@ oracle, a synthetic generator and a benchmark harness.
 
 from .bench import (AblationRow, MetricsReport, TrialRow, ablation,
                     all_pairs_matches, consecutive_matches, monte_carlo_gap,
-                    optimality_gap, pair_metrics, pairwise_from_matches,
-                    percent_change, precision_recall, write_ablation_csv,
-                    write_gap_csv)
+                    optimality_gap, pair_metrics, percent_change,
+                    precision_recall, write_ablation_csv, write_gap_csv)
 from .core import (Assignment, ClusterLabeling, FeasibilityReport,
                    InfeasibleAssignmentError, Instance, InvalidInstanceError,
                    ModalityMatrices, PairwiseTable, assignment_from_clusters,
@@ -42,7 +41,7 @@ __all__ = [
     "count_feasible", "enumerate_feasible", "feasibility_report",
     "frobenius_objective", "generate", "monte_carlo_gap",
     "multimodal_suite", "optimality_gap", "pair_metrics",
-    "pairwise_from_assignment", "pairwise_from_matches", "percent_change",
+    "pairwise_from_assignment", "percent_change",
     "precision_recall", "project", "project_row", "relaxed_gradient",
     "relaxed_objective", "restrict_modalities", "solve", "solve_exact",
     "write_ablation_csv", "write_gap_csv",

@@ -2,7 +2,11 @@
 
 Precision and recall are counted over unordered element pairs: a pair is a
 predicted match when both elements share a predicted cluster, a true match
-when they share a ground-truth identity.
+when they share a ground-truth identity.  Predictions and truth are
+PairwiseTables, boolean m-by-m match matrices whose within-set entries are
+zero, and a pair is one entry of the strict upper triangle; the baselines
+return such tables too.  precision_recall counts the same way on a
+same-label matrix built from two labelings.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Instance, PairwiseTable, clusters_from_assignment,
-                   co_clustered_pairs)
+from .core import (Instance, PairwiseTable, canonical_labels,
+                   clusters_from_assignment, pairwise_from_assignment)
 from .oracle import solve_exact
 from .solver import SolverConfig, solve
 from .synth import (DEFAULT_SUITE_BASE, MULTIMODAL_PROFILES, SynthConfig,
@@ -61,16 +65,18 @@ class AblationRow:
     f1_mean: float
 
 
-def pair_metrics(predicted: frozenset[tuple[int, int]],
-                 truth: frozenset[tuple[int, int]]) -> MetricsReport:
-    """Metrics over explicit match-pair sets.
+def _pair_report(predicted: np.ndarray, truth: np.ndarray) -> MetricsReport:
+    """Metrics over the pairs of the strict upper triangle of two m-by-m
+    boolean matrices, each True where the pair is a (predicted, true) match.
 
     An empty prediction has precision 1 by convention; an empty truth has
     recall 1.  F1 is 0 when precision and recall are both 0.
     """
-    tp = len(predicted & truth)
-    fp = len(predicted - truth)
-    fn = len(truth - predicted)
+    upper = np.triu(np.ones(predicted.shape, dtype=bool), k=1)
+    predicted, truth = predicted & upper, truth & upper
+    tp = int(np.count_nonzero(predicted & truth))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -78,17 +84,27 @@ def pair_metrics(predicted: frozenset[tuple[int, int]],
                          true_positives=tp, false_positives=fp, false_negatives=fn)
 
 
+def pair_metrics(predicted: PairwiseTable, truth: PairwiseTable) -> MetricsReport:
+    """Metrics of predicted cross-set matches against the true ones."""
+    if predicted.set_sizes != truth.set_sizes:
+        raise ValueError(f"set sizes differ: {list(predicted.set_sizes)} "
+                         f"vs {list(truth.set_sizes)}")
+    return _pair_report(predicted.match, truth.match)
+
+
 def precision_recall(predicted, truth) -> MetricsReport:
     """Pairwise metrics of a predicted labeling against the ground truth.
 
-    Accepts ClusterLabeling/GroundTruth objects or raw label sequences.
+    Accepts ClusterLabeling/GroundTruth objects or raw sequences of hashable
+    labels; every pair of equal labels counts, whatever the sets.
     """
-    pred_labels = tuple(getattr(predicted, "labels", predicted))
-    true_labels = tuple(getattr(truth, "labels", truth))
+    pred_labels = canonical_labels(getattr(predicted, "labels", predicted))
+    true_labels = canonical_labels(getattr(truth, "labels", truth))
     if len(pred_labels) != len(true_labels):
         raise ValueError(
             f"labeling lengths differ: {len(pred_labels)} vs {len(true_labels)}")
-    return pair_metrics(co_clustered_pairs(pred_labels), co_clustered_pairs(true_labels))
+    return _pair_report(np.equal.outer(pred_labels, pred_labels),
+                        np.equal.outer(true_labels, true_labels))
 
 
 def optimality_gap(f_solver: float, f_oracle: float) -> float:
@@ -113,6 +129,8 @@ def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int],
     For every outlier count, ``trials`` instances are drawn with seeds
     derived from base.rng_seed, so the whole table is reproducible.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rows = []
     for n_o in n_o_values:
         gaps, dps, drs, times = [], [], [], []
@@ -141,31 +159,25 @@ def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int],
     return rows
 
 
-def _strong_pairs(pairs: np.ndarray, scores: np.ndarray) -> frozenset[tuple[int, int]]:
-    """Stored pairs whose mean modality score exceeds 0.5."""
-    return frozenset(map(tuple, pairs[scores.mean(axis=1) > 0.5].tolist()))
+def _strong_pairs(instance: Instance, eligible: np.ndarray | bool) -> PairwiseTable:
+    """Match table of the eligible stored pairs whose mean modality score
+    exceeds 0.5; within-set pairs never match."""
+    a, b = instance.pairs[eligible & (instance.scores.mean(axis=1) > 0.5)].T
+    m = instance.num_elements
+    match = np.zeros((m, m), dtype=bool)
+    match[a, b] = match[b, a] = True
+    return PairwiseTable(instance.set_sizes, match)
 
 
-def all_pairs_matches(instance: Instance) -> frozenset[tuple[int, int]]:
+def all_pairs_matches(instance: Instance) -> PairwiseTable:
     """Naive baseline: every pair whose mean modality score exceeds 0.5."""
-    return _strong_pairs(instance.pairs, instance.scores)
+    return _strong_pairs(instance, True)
 
 
-def consecutive_matches(instance: Instance) -> frozenset[tuple[int, int]]:
+def consecutive_matches(instance: Instance) -> PairwiseTable:
     """Thresholding restricted to pairs from consecutive sets."""
     sets = instance.set_index[instance.pairs]
-    adjacent = np.abs(sets[:, 0] - sets[:, 1]) == 1
-    return _strong_pairs(instance.pairs[adjacent], instance.scores[adjacent])
-
-
-def pairwise_from_matches(matches: frozenset[tuple[int, int]],
-                          set_sizes: Sequence[int]) -> PairwiseTable:
-    """Cross-set match matrix from a raw pair set; same-set pairs are ignored."""
-    m = sum(int(s) for s in set_sizes)
-    match = np.zeros((m, m), dtype=bool)
-    a, b = np.array(sorted(matches), dtype=np.int64).reshape(-1, 2).T
-    match[a, b] = match[b, a] = True
-    return PairwiseTable(set_sizes, match)
+    return _strong_pairs(instance, np.abs(sets[:, 0] - sets[:, 1]) == 1)
 
 
 def ablation(trials: int, base_seed: int = 0, *,
@@ -178,6 +190,8 @@ def ablation(trials: int, base_seed: int = 0, *,
     modalities plus incremental combinations ordered by decreasing
     single-modality solver F1, mirroring a strongest-first fusion study.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     base = base if base is not None else DEFAULT_SUITE_BASE
     profiles = tuple(profiles) if profiles is not None else MULTIMODAL_PROFILES
     count = len(profiles)
@@ -185,12 +199,12 @@ def ablation(trials: int, base_seed: int = 0, *,
     suites = []
     for t in range(trials):
         suite = multimodal_suite(derive_seed(base_seed, t), base=base, profiles=profiles)
-        suites.append(suite)
-        truth_pairs = co_clustered_pairs(suite[0][1].labels)
+        truth = pairwise_from_assignment(suite[0][1].assignment)
+        suites.append((suite[0][0], truth))
         for k in range(count):
-            sub, truth = suite[k + 1]
+            sub = suite[k + 1][0]
             result = solve(sub, SolverConfig(rng_seed=derive_seed(base_seed, t, k)))
-            f1 = pair_metrics(result.assignment.pair_set(), truth_pairs).f1
+            f1 = pair_metrics(pairwise_from_assignment(result.assignment), truth).f1
             single_scores[k].append(f1)
     order = sorted(range(count), key=lambda k: (-float(np.mean(single_scores[k])), k))
     subsets = [(k,) for k in range(count)]
@@ -198,18 +212,16 @@ def ablation(trials: int, base_seed: int = 0, *,
     rows: list[AblationRow] = []
     for subset in subsets:
         solver_f1s, ap_f1s, cs_f1s = [], [], []
-        for t, suite in enumerate(suites):
-            fused, truth = suite[0]
-            truth_pairs = co_clustered_pairs(truth.labels)
+        for t, (fused, truth) in enumerate(suites):
             sub = restrict_modalities(fused, subset)
             if len(subset) == 1:
                 solver_f1s.append(single_scores[subset[0]][t])
             else:
                 result = solve(sub, SolverConfig(rng_seed=derive_seed(base_seed, t, *subset)))
                 solver_f1s.append(
-                    pair_metrics(result.assignment.pair_set(), truth_pairs).f1)
-            ap_f1s.append(pair_metrics(all_pairs_matches(sub), truth_pairs).f1)
-            cs_f1s.append(pair_metrics(consecutive_matches(sub), truth_pairs).f1)
+                    pair_metrics(pairwise_from_assignment(result.assignment), truth).f1)
+            ap_f1s.append(pair_metrics(all_pairs_matches(sub), truth).f1)
+            cs_f1s.append(pair_metrics(consecutive_matches(sub), truth).f1)
         rows.append(AblationRow(subset, "solver", float(np.mean(solver_f1s))))
         rows.append(AblationRow(subset, "all_pairs", float(np.mean(ap_f1s))))
         rows.append(AblationRow(subset, "consecutive", float(np.mean(cs_f1s))))

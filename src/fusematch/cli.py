@@ -261,9 +261,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"frobenius={result.frobenius_value:.6g} relaxed={result.relaxed_value:.6g}")
     if args.truth:
         truth = read_truth(args.truth)
-        if len(truth.labels) != instance.num_elements:
+        if truth.assignment.set_sizes != instance.set_sizes:
             raise FileFormatError(
-                f"{args.truth}: labels: expected {instance.num_elements} entries")
+                f"{args.truth}: set_sizes: expected {list(instance.set_sizes)}")
         metrics = precision_recall(labeling, truth)
         print(f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
               f"f1={metrics.f1:.4f}")

@@ -13,9 +13,8 @@ they are that for some one-hot U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,16 @@ import numpy as np
 # set the elements are distinct objects by construction.
 CROSS_SET_DEFAULT = 0.5
 WITHIN_SET_DEFAULT = 0.0
+
+
+def _value_eq(self, other: object) -> bool:
+    """Dataclass equality that compares ndarray fields with np.array_equal
+    and the rest with ==; the generated __eq__ raises on array fields."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(self, f.name), getattr(other, f.name))
+                            for f in fields(self)))
 
 
 class InvalidInstanceError(ValueError):
@@ -102,13 +111,7 @@ class Instance:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "scores", scores)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (self.set_sizes == other.set_sizes
-                and self.modality_count == other.modality_count
-                and np.array_equal(self.pairs, other.pairs)
-                and np.array_equal(self.scores, other.scores))
+    __eq__ = _value_eq
 
     @property
     def num_sets(self) -> int:
@@ -137,11 +140,13 @@ class Instance:
         return int(self.set_index[a])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalityMatrices:
     """Dense symmetric score matrices, one m-by-m slice per modality."""
 
     mats: np.ndarray  # shape (modality_count, m, m)
+
+    __eq__ = _value_eq
 
 
 def build_modality_matrices(instance: Instance) -> ModalityMatrices:
@@ -228,11 +233,7 @@ class Assignment:
         object.__setattr__(self, "entries", U)
         object.__setattr__(self, "set_sizes", sizes)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return (self.set_sizes == other.set_sizes
-                and np.array_equal(self.entries, other.entries))
+    __eq__ = _value_eq
 
     @classmethod
     def from_full_matrix(cls, entries: np.ndarray, set_sizes: Sequence[int]) -> "Assignment":
@@ -251,19 +252,6 @@ class Assignment:
     @property
     def num_clusters(self) -> int:
         return self.entries.shape[1]
-
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        """Unordered element pairs claimed to be the same object."""
-        return co_clustered_pairs(np.argmax(self.entries, axis=1).tolist())
-
-
-def co_clustered_pairs(labels: Sequence) -> frozenset[tuple[int, int]]:
-    """Element pairs (a, b), a < b, whose labels are equal."""
-    groups: dict = {}
-    for idx, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(idx)
-    return frozenset(pair for members in groups.values()
-                     for pair in combinations(members, 2))
 
 
 @dataclass(frozen=True)
@@ -355,11 +343,7 @@ class PairwiseTable:
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "match", match)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairwiseTable):
-            return NotImplemented
-        return (self.set_sizes == other.set_sizes
-                and np.array_equal(self.match, other.match))
+    __eq__ = _value_eq
 
     def block(self, i: int, j: int) -> np.ndarray:
         cut = np.cumsum((0,) + self.set_sizes)

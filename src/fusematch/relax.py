@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, _value_eq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationData:
     """Quadratic-form data of the penalized relaxation.
 
@@ -46,6 +46,8 @@ class RelaxationData:
     frob_const: float
     set_offsets: tuple[int, ...]
     set_index: np.ndarray
+
+    __eq__ = _value_eq
 
     @property
     def num_elements(self) -> int:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import csv
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusematch import (
+    Instance,
+    MetricsReport,
+    PairwiseTable,
     SolverConfig,
     SynthConfig,
     ablation,
@@ -18,7 +24,6 @@ from fusematch import (
     monte_carlo_gap,
     optimality_gap,
     pair_metrics,
-    pairwise_from_matches,
     percent_change,
     precision_recall,
     write_ablation_csv,
@@ -26,10 +31,47 @@ from fusematch import (
 )
 from fusematch.bench import GAP_CSV_COLUMNS, format_ablation_table, format_gap_table
 
+SINGLETONS = (1,) * 8   # every pair of elements is a cross-set pair
+
+
+def table(set_sizes, pairs) -> PairwiseTable:
+    """Match table holding exactly the given (a, b) pairs, both ways round."""
+    m = sum(set_sizes)
+    match = np.zeros((m, m), dtype=bool)
+    for a, b in pairs:
+        match[a, b] = match[b, a] = True
+    return PairwiseTable(set_sizes, match)
+
+
+def reference_pairs(labels) -> set[tuple[int, int]]:
+    """Element pairs (a, b), a < b, whose labels are equal."""
+    return {(a, b) for a, b in combinations(range(len(labels)), 2)
+            if labels[a] == labels[b]}
+
+
+def reference_report(predicted: set, truth: set) -> MetricsReport:
+    tp, fp, fn = len(predicted & truth), len(predicted - truth), len(truth - predicted)
+    precision = tp / (tp + fp) if tp + fp else 1.0
+    recall = tp / (tp + fn) if tp + fn else 1.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return MetricsReport(precision, recall, f1, tp, fp, fn)
+
+
+# 1 and '1' are different labels; so are 0 and '0'
+LABEL = st.one_of(st.integers(0, 3), st.sampled_from(["0", "1", "a", "b"]))
+
+
+@st.composite
+def labelings(draw):
+    """Set sizes and two labelings of their elements."""
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    labels = st.lists(LABEL, min_size=sum(sizes), max_size=sum(sizes))
+    return sizes, draw(labels), draw(labels)
+
 
 class TestPairMetrics:
     def test_perfect_prediction(self):
-        truth = frozenset({(0, 1), (2, 3)})
+        truth = table(SINGLETONS, [(0, 1), (2, 3)])
         report = pair_metrics(truth, truth)
         assert report.precision == 1.0
         assert report.recall == 1.0
@@ -37,28 +79,57 @@ class TestPairMetrics:
 
     def test_half_and_quarter(self):
         # one true pair and one false pair predicted, out of four true pairs
-        truth = frozenset({(0, 1), (2, 3), (4, 5), (6, 7)})
-        predicted = frozenset({(0, 1), (0, 2)})
+        truth = table(SINGLETONS, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        predicted = table(SINGLETONS, [(0, 1), (0, 2)])
         report = pair_metrics(predicted, truth)
         assert report.precision == 0.5
         assert report.recall == 0.25
+        assert (report.true_positives, report.false_positives,
+                report.false_negatives) == (1, 1, 3)
 
     def test_empty_prediction_has_unit_precision(self):
-        report = pair_metrics(frozenset(), frozenset({(0, 1)}))
+        report = pair_metrics(table(SINGLETONS, []), table(SINGLETONS, [(0, 1)]))
         assert report.precision == 1.0
         assert report.recall == 0.0
         assert report.f1 == 0.0
 
     def test_empty_truth_has_unit_recall(self):
-        report = pair_metrics(frozenset({(0, 1)}), frozenset())
+        report = pair_metrics(table(SINGLETONS, [(0, 1)]), table(SINGLETONS, []))
         assert report.recall == 1.0
         assert report.precision == 0.0
 
     def test_both_empty(self):
-        report = pair_metrics(frozenset(), frozenset())
+        report = pair_metrics(table(SINGLETONS, []), table(SINGLETONS, []))
         assert report.precision == 1.0
         assert report.recall == 1.0
         assert report.f1 == 1.0
+
+    def test_set_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="set sizes differ"):
+            pair_metrics(table((2, 2), []), table((1, 3), []))
+
+
+class TestAgainstReference:
+    """Both metrics count the equal-label pairs that itertools enumerates;
+    pair_metrics sees only those across sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelings())
+    def test_precision_recall(self, drawn):
+        _, predicted, truth = drawn
+        assert precision_recall(predicted, truth) == reference_report(
+            reference_pairs(predicted), reference_pairs(truth))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelings())
+    def test_pair_metrics(self, drawn):
+        sizes, predicted, truth = drawn
+        set_index = np.repeat(np.arange(len(sizes)), sizes)
+        cross = {(a, b) for a, b in combinations(range(sum(sizes)), 2)
+                 if set_index[a] != set_index[b]}
+        pred_pairs, true_pairs = reference_pairs(predicted), reference_pairs(truth)
+        assert pair_metrics(table(sizes, pred_pairs), table(sizes, true_pairs)) == (
+            reference_report(pred_pairs & cross, true_pairs & cross))
 
 
 class TestPrecisionRecall:
@@ -75,6 +146,11 @@ class TestPrecisionRecall:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             precision_recall([0, 1], [0, 1, 2])
+
+    def test_mixed_type_labels_stay_apart(self):
+        # numpy would coerce [1, '1'] to two equal strings
+        report = precision_recall([1, "1", 2], [0, 0, 1])
+        assert (report.true_positives, report.false_negatives) == (0, 1)
 
 
 class TestGapArithmetic:
@@ -129,6 +205,11 @@ class TestMonteCarloGap:
         assert len(parsed) == 2
         assert float(parsed[1][1]) == pytest.approx(rows[0].gap_mean)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            monte_carlo_gap(self.BASE, [0, 1], trials)
+
     def test_format_gap_table_mentions_all_rows(self):
         rows = monte_carlo_gap(self.BASE, [0, 1], trials=2)
         text = format_gap_table(rows)
@@ -139,30 +220,28 @@ class TestMonteCarloGap:
 class TestBaselines:
     def test_all_pairs_thresholds_mean_score(self):
         inst, _ = generate(SynthConfig(universe_size=2, num_sets=2, rng_seed=0))
-        matches = all_pairs_matches(inst)
-        truth_pairs = frozenset({(0, 2), (1, 3)})
-        assert matches == truth_pairs
+        assert all_pairs_matches(inst) == table(inst.set_sizes, [(0, 2), (1, 3)])
 
     def test_consecutive_only_keeps_adjacent_sets(self):
         inst, _ = generate(SynthConfig(universe_size=2, num_sets=3, rng_seed=0))
-        cons = consecutive_matches(inst)
-        for a, b in cons:
+        cons, full = consecutive_matches(inst).match, all_pairs_matches(inst).match
+        for a, b in np.argwhere(cons):
             assert abs(inst.set_of(a) - inst.set_of(b)) == 1
-        assert cons < all_pairs_matches(inst)
+        assert (cons <= full).all() and (cons != full).any()
 
     def test_threshold_baseline_can_break_consistency(self):
         # a noisy threshold baseline asserts a∼b and b∼c but not a∼c; the
         # solver never does
         inst, _ = generate(SynthConfig(universe_size=2, num_sets=3, rng_seed=0))
-        matches = set(all_pairs_matches(inst))
-        matches.discard((0, 4))
-        matches.discard((4, 0))
-        table = pairwise_from_matches(frozenset(matches), inst.set_sizes)
-        assert not check_cycle_consistency(table)
+        match = all_pairs_matches(inst).match.copy()
+        assert match[0, 4]
+        match[0, 4] = match[4, 0] = False
+        assert not check_cycle_consistency(PairwiseTable(inst.set_sizes, match))
 
-    def test_pairwise_from_matches_ignores_same_set_pairs(self):
-        table = pairwise_from_matches(frozenset({(0, 1)}), (2, 1))
-        assert table.block(0, 1).sum() == 0
+    def test_within_set_pair_never_matches(self):
+        inst = Instance(set_sizes=(2, 1), modality_count=1,
+                        pairs=[(0, 1), (0, 2)], scores=[(0.9,), (0.9,)])
+        assert all_pairs_matches(inst) == table((2, 1), [(0, 2)])
 
 
 class TestAblation:
@@ -185,6 +264,11 @@ class TestAblation:
         assert any(len(s) == 2 for s in subsets)
         methods = {r.method for r in rows}
         assert methods == {"solver", "all_pairs", "consecutive"}
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            ablation(trials=trials)
 
     def test_ablation_csv(self, tmp_path):
         base = SynthConfig(universe_size=2, num_sets=3)

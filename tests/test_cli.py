@@ -233,6 +233,17 @@ class TestSolveCommand:
         assert result["converged"] is True
         assert result["config"] == {"max_inner_iters": 1000, "rng_seed": 7}
 
+    def test_truth_for_other_set_sizes_rejected(self, instance_file, tmp_path, capsys):
+        # the label count matches, the sets do not
+        inst_path, _, instance, _ = instance_file
+        m = instance.num_elements
+        truth_path = tmp_path / "one_set.json"
+        truth_path.write_text(json.dumps({"set_sizes": [m], "labels": list(range(m))}))
+        assert main(["solve", str(inst_path), "--out", str(tmp_path / "result.json"),
+                     "--truth", str(truth_path)]) == 1
+        assert (f"error: {truth_path}: set_sizes: expected {list(instance.set_sizes)}"
+                in capsys.readouterr().err)
+
     def test_reruns_byte_identical(self, instance_file, tmp_path):
         inst_path, _, _, _ = instance_file
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -411,6 +422,15 @@ class TestBenchCommand:
         ]
         assert main(["bench", "--ablation", "--outliers", "0,1"]) == 1
         assert "one outlier count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--ablation"]])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_exit_one(self, mode, trials, capsys):
+        # the sweep and the ablation used to print a table of nan and exit 0
+        assert main(["bench", *mode, "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "error: trials must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_bad_outlier_list_exits_one(self, capsys):
         assert main(["bench", "--outliers", "0,x"]) == 1

@@ -219,9 +219,9 @@ class TestAssignment:
         assert a.entries.shape == (2, 2)
         assert a.num_clusters == 2
 
-    def test_pair_set(self):
-        a = assignment_from_clusters([0, 1, 0], (1, 1, 1))
-        assert a.pair_set() == {(0, 2)}
+    def test_pairwise_matches_co_clustered_pair(self):
+        table = pairwise_from_assignment(assignment_from_clusters([0, 1, 0], (1, 1, 1)))
+        assert np.argwhere(np.triu(table.match)).tolist() == [[0, 2]]
 
     def test_clusters_roundtrip(self):
         labels = (0, 1, 0, 2)

@@ -1,31 +1,37 @@
-"""The benchmark's tracer rebinds names inside the package; every one of
-them must exist, so that removing a traced name fails here and not only in
-a benchmark run."""
+"""The benchmark's tracer rebinds names inside the package and its
+workloads import and call them; every one of them must exist and keep its
+behaviour, so that removing or changing one fails here and not only in a
+benchmark run."""
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_rebound_names_exist():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     missing = [f"{module.__name__}.{attr}" for module, attr in tracing.REBIND
                if not hasattr(module, attr)]
     assert missing == []
 
 
 def test_install_and_uninstall_restore_originals():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     originals = {key: getattr(*key) for key in tracing.REBIND}
     tracer = tracing.Tracer()
     try:
@@ -59,7 +65,7 @@ def test_tracer_counts_a_solve_and_an_oracle_call():
     import fusematch.solver
     from fusematch import SolverConfig, SynthConfig, generate
 
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     instance, _ = generate(SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.2,
                                        rng_seed=1))
     tracer = tracing.Tracer()
@@ -72,3 +78,14 @@ def test_tracer_counts_a_solve_and_an_oracle_call():
     for counter in ("solver.stage.calls", "solver.inner_iters", "solver.linesearch.calls",
                     "solver.linesearch_accepted", "oracle.solve_exact.calls"):
         assert tracer.counts[counter] > 0, counter
+
+
+@pytest.mark.parametrize("workload, count", [("paper-small", None), ("solve-mid", 1)])
+def test_workload_ops_pass_their_verification(workload, count, tmp_path):
+    # paper-small runs its whole chunk: verify compares precision_recall's F1
+    # with the benchmark's own _pair_f1, and only the cases with F1 below 1
+    # tell a drift apart
+    w = _load("workloads").WORKLOADS[workload]
+    failures = [(case.label, w.verify(case, w.op(case)).failures)
+                for case in w.build(1, 0, tmp_path)[:count]]
+    assert [f for f in failures if f[1]] == []

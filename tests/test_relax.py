@@ -245,6 +245,18 @@ def _corpus():
                            (0.9, 0.8), (0.5, 0.5)])
 
 
+class TestEquality:
+    def test_equal_and_unequal_instances(self):
+        # the default dataclass __eq__ raised on the ndarray fields
+        a, b = Instance((2, 2), 1), Instance((2, 2), 1)
+        scored = Instance((2, 2), 1, pairs=[(0, 2)], scores=[(0.9,)])
+        assert build_relaxation(a) == build_relaxation(b)
+        assert build_modality_matrices(a) == build_modality_matrices(b)
+        for other in (scored, Instance((1, 3), 1)):
+            assert build_relaxation(a) != build_relaxation(other)
+            assert build_modality_matrices(a) != build_modality_matrices(other)
+
+
 class TestFusedDataMatchesDenseStack:
     """build_relaxation and frobenius_objective work from the stored pairs;
     the dense K-by-m-by-m stack is the reference they must agree with."""

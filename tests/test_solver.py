@@ -170,7 +170,8 @@ class TestSolve:
         res = solve(inst, SolverConfig(rng_seed=0))
         assert res.converged
         assert res.frobenius_value == 0.0
-        assert res.assignment.pair_set() == truth.assignment.pair_set()
+        assert (pairwise_from_assignment(res.assignment)
+                == pairwise_from_assignment(truth.assignment))
 
     def test_output_always_feasible_and_consistent(self, rng):
         for _ in range(15):
