@@ -60,6 +60,10 @@ VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 # sweep defaults of the bench shape flags; the ablation's are DEFAULT_SUITE_BASE
 SWEEP_SHAPE = {"universe_size": 3, "num_sets": 3, "observe_prob": 1.0,
                "outliers": "0,1,2,3"}
+# sweep defaults of the bench corruption flags; the ablation's modality
+# profiles fix their own, so it rejects these flags
+SWEEP_CORRUPTION = {"modalities": 2, "noise_sigma": 0.15, "inconclusive_rate": 0.15,
+                    "flip_rate": 0.05}
 
 
 class FileFormatError(ValueError):
@@ -253,17 +257,17 @@ def read_result(path: str | Path) -> dict:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
+    truth = read_truth(args.truth) if args.truth else None
+    if truth is not None and truth.assignment.set_sizes != instance.set_sizes:
+        raise FileFormatError(
+            f"{args.truth}: set_sizes: expected {list(instance.set_sizes)}")
     cfg = SolverConfig(rng_seed=args.seed)
     result = solve(instance, cfg)
     _dump_json(result_payload(result, asdict(cfg)), args.out)
     labeling = clusters_from_assignment(result.assignment)
     print(f"converged={result.converged} clusters={labeling.num_clusters} "
           f"frobenius={result.frobenius_value:.6g} relaxed={result.relaxed_value:.6g}")
-    if args.truth:
-        truth = read_truth(args.truth)
-        if truth.assignment.set_sizes != instance.set_sizes:
-            raise FileFormatError(
-                f"{args.truth}: set_sizes: expected {list(instance.set_sizes)}")
+    if truth is not None:
         metrics = precision_recall(labeling, truth)
         print(f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
               f"f1={metrics.f1:.4f}")
@@ -272,22 +276,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
-    cfg = OracleConfig(max_elements=args.max_elements,
-                       report_all_optima=args.report_all_optima)
-    result = solve_exact(instance, cfg)
-    data = build_relaxation(instance)
-    payload = {
-        "clusters": _clusters(result.assignment),
-        "relaxed_value": relaxed_objective(
-            result.assignment.entries.astype(float), data, 0.0),
-        "frobenius_value": result.value,
-        "converged": True,
-        "trace": [],
-        "config": asdict(cfg),
-    }
-    _dump_json(payload, args.out)
-    print(f"optimum={result.value:.6g} clusters={result.assignment.num_clusters} "
-          f"optima={len(result.optima)}")
+    cfg = OracleConfig(max_elements=args.max_elements)
+    exact = solve_exact(instance, cfg)
+    # written as a converged solve with an empty trace, so relaxed at d = 0
+    relaxed = relaxed_objective(exact.assignment.entries.astype(float),
+                                build_relaxation(instance), 0.0)
+    result = SolverResult(assignment=exact.assignment, relaxed_value=relaxed,
+                          frobenius_value=exact.value, trace=(), converged=True)
+    _dump_json(result_payload(result, asdict(cfg)), args.out)
+    print(f"optimum={exact.value:.6g} clusters={exact.assignment.num_clusters}")
     return 0
 
 
@@ -298,6 +295,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         outliers_per_run=args.outliers, noise_sigma=args.noise_sigma,
         inconclusive_rate=args.inconclusive_rate, flip_rate=args.flip_rate,
         rng_seed=args.seed)
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t in range(args.trials):
@@ -311,9 +310,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    # the shape flags default to None, so only those given override a study's base
-    given = {k: getattr(args, k) for k in SWEEP_SHAPE if getattr(args, k) is not None}
-    shape = given if args.ablation else {**SWEEP_SHAPE, **given}
+    # the study flags default to None, so only those given override a study's base
+    given = {k: getattr(args, k) for k in (*SWEEP_SHAPE, *SWEEP_CORRUPTION)
+             if getattr(args, k) is not None}
+    fixed = [k for k in SWEEP_CORRUPTION if k in given]
+    if args.ablation and fixed:
+        raise FileFormatError(f"--{fixed[0].replace('_', '-')}: the ablation's modality "
+                              f"profiles fix the corruption")
+    shape = given if args.ablation else {**SWEEP_SHAPE, **SWEEP_CORRUPTION, **given}
     try:
         n_o_values = [int(x) for x in shape.pop("outliers", "").split(",") if x.strip()]
     except ValueError as exc:
@@ -328,10 +332,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             write_ablation_csv(rows, args.out)
         print(format_ablation_table(rows))
         return 0
-    base = SynthConfig(
-        **shape, modality_count=args.modalities, noise_sigma=args.noise_sigma,
-        inconclusive_rate=args.inconclusive_rate, flip_rate=args.flip_rate,
-        rng_seed=args.seed)
+    shape["modality_count"] = shape.pop("modalities")
+    base = SynthConfig(**shape, rng_seed=args.seed)
     rows = monte_carlo_gap(base, n_o_values, args.trials)
     if args.out:
         write_gap_csv(rows, args.out)
@@ -399,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--out", help="result file path (default: stdout)")
     p_oracle.add_argument("--max-elements", dest="max_elements", type=int, default=12)
-    p_oracle.add_argument("--report-all-optima", dest="report_all_optima",
-                          action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_synth = sub.add_parser("synth", help="generate instance/truth files")
@@ -425,11 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--universe-size", dest="universe_size", type=int)
     p_bench.add_argument("--num-sets", dest="num_sets", type=int)
     p_bench.add_argument("--observe-prob", dest="observe_prob", type=float)
-    p_bench.add_argument("--modalities", type=int, default=2)
-    p_bench.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.15)
-    p_bench.add_argument("--inconclusive-rate", dest="inconclusive_rate",
-                         type=float, default=0.15)
-    p_bench.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.05)
+    p_bench.add_argument("--modalities", type=int)
+    p_bench.add_argument("--noise-sigma", dest="noise_sigma", type=float)
+    p_bench.add_argument("--inconclusive-rate", dest="inconclusive_rate", type=float)
+    p_bench.add_argument("--flip-rate", dest="flip_rate", type=float)
     p_bench.add_argument("--outliers",
                          help="comma-separated outlier counts (one for --ablation)")
     p_bench.add_argument("--trials", type=int, default=50)

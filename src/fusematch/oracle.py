@@ -4,7 +4,10 @@ Feasible assignments correspond to partitions of the elements in which no
 two elements of one set share a cluster.  They are enumerated as restricted
 growth strings: element t either joins an existing cluster (in creation
 order) or opens a new one, skipping clusters that already contain an
-element of t's set.
+element of t's set.  solve_exact searches the same tree with a
+branch-and-bound and returns the first optimum in this order: objective
+values within TIE_TOL of the minimum count as tied, and ties go to the
+earliest assignment.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ class InstanceTooLargeError(ValueError):
 @dataclass(frozen=True)
 class OracleConfig:
     max_elements: int = 12
-    report_all_optima: bool = False
 
     def __post_init__(self) -> None:
         if self.max_elements < 1:
@@ -40,15 +42,10 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """First optimal assignment in enumeration order and its exact value.
-
-    ``optima`` holds every assignment within TIE_TOL of the optimum when
-    report_all_optima is set, otherwise just the returned one.
-    """
+    """First optimal assignment in enumeration order and its exact value."""
 
     assignment: Assignment
     value: float
-    optima: tuple[Assignment, ...]
 
 
 def count_feasible(set_sizes: Sequence[int]) -> int:
@@ -119,10 +116,11 @@ def solve_exact(instance: Instance,
     """Exhaustively minimize the association objective.
 
     Walks the restricted-growth tree with an incremental pair-sum objective
-    and prunes subtrees whose admissible lower bound cannot beat the best
-    leaf seen; the pruning never discards the first optimum.  The returned
-    value is recomputed from scratch as a cross-check on the incremental
-    arithmetic.
+    and prunes subtrees whose admissible lower bound is not below the best
+    leaf seen.  Returns the first assignment in enumeration order within
+    TIE_TOL of the minimum: every leaf before it lies above it, so the
+    pruning never discards it.  The returned value is recomputed from
+    scratch as a cross-check on the incremental arithmetic.
     """
     cfg = config if config is not None else OracleConfig()
     _check_cap(instance, cfg)
@@ -130,44 +128,28 @@ def solve_exact(instance: Instance,
     abar = data.abar
     m = instance.num_elements
     set_index = [int(s) for s in instance.set_index]
-    base = data.frob_const
 
     # Admissible bound on the pair-sum still to come at depth t: each not yet
-    # decided cross-set pair contributes at least min(0, 2 * abar[a, b]).
-    per_element = [0.0] * m
-    for b in range(m):
-        acc = 0.0
-        for a in range(b):
-            if set_index[a] != set_index[b]:
-                acc += min(0.0, 2.0 * abar[a, b])
-        per_element[b] = acc
-    lower = [0.0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        lower[t] = lower[t + 1] + per_element[t]
+    # decided cross-set pair (a < b, b >= t) contributes at least
+    # min(0, 2 * abar[a, b]).
+    cross = np.not_equal.outer(instance.set_index, instance.set_index)
+    per_element = np.tril(np.minimum(0.0, 2.0 * abar) * cross, -1).sum(axis=1)
+    lower = np.append(np.cumsum(per_element[::-1])[::-1], 0.0).tolist()
 
     abar_rows = abar.tolist()
     labels = [0] * m
     clusters: list[list[int]] = []
     cluster_sets: list[int] = []
-    collect_all = cfg.report_all_optima
-
-    best_value = np.inf          # exact running minimum, used for pruning
-    candidates: list[tuple[float, list[int]]] = []
+    best_value = np.inf
+    improving: list[tuple[float, list[int]]] = []   # each strictly better leaf
 
     def rec(t: int, pairsum: float) -> None:
         nonlocal best_value
-        bound = pairsum + lower[t]
-        # The strict rule of the default mode never prunes the first leaf
-        # within TIE_TOL of the optimum: every earlier leaf lies above it.
-        if collect_all:
-            if bound > best_value + TIE_TOL:
-                return
-        elif bound >= best_value:
+        if pairsum + lower[t] >= best_value:
             return
         if t == m:
-            best_value = min(best_value, pairsum)
-            if pairsum <= best_value + TIE_TOL:
-                candidates.append((pairsum, labels.copy()))
+            best_value = pairsum
+            improving.append((pairsum, labels.copy()))
             return
         row = abar_rows[t]
         bit = 1 << set_index[t]
@@ -189,14 +171,11 @@ def solve_exact(instance: Instance,
         cluster_sets.pop()
 
     rec(0, 0.0)
-    vmin = min(v for v, _ in candidates)
-    tied = [(v, lab) for v, lab in candidates if v <= vmin + TIE_TOL]
-    optima = tuple(assignment_from_clusters(lab, instance.set_sizes)
-                   for _, lab in (tied if collect_all else tied[:1]))
-    assignment, first_value = optima[0], tied[0][0]
+    pairsum, first = next((v, lab) for v, lab in improving if v <= best_value + TIE_TOL)
+    assignment = assignment_from_clusters(first, instance.set_sizes)
     value = frobenius_objective(assignment.entries, instance)
-    incremental = base + first_value
+    incremental = data.frob_const + pairsum
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(
             f"incremental objective {incremental} disagrees with recomputed {value}")
-    return OracleResult(assignment=assignment, value=value, optima=optima)
+    return OracleResult(assignment=assignment, value=value)

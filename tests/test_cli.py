@@ -239,10 +239,15 @@ class TestSolveCommand:
         m = instance.num_elements
         truth_path = tmp_path / "one_set.json"
         truth_path.write_text(json.dumps({"set_sizes": [m], "labels": list(range(m))}))
-        assert main(["solve", str(inst_path), "--out", str(tmp_path / "result.json"),
+        out = tmp_path / "result.json"
+        assert main(["solve", str(inst_path), "--out", str(out),
                      "--truth", str(truth_path)]) == 1
+        captured = capsys.readouterr()
         assert (f"error: {truth_path}: set_sizes: expected {list(instance.set_sizes)}"
-                in capsys.readouterr().err)
+                in captured.err)
+        # the truth is checked before solving: nothing printed, no result file
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_reruns_byte_identical(self, instance_file, tmp_path):
         inst_path, _, _, _ = instance_file
@@ -294,6 +299,15 @@ class TestOracleCommand:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_exit_one(self, tmp_path, trials, capsys):
+        out_dir = tmp_path / "corpus"
+        assert main(["synth", "--out", str(out_dir), "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "error: trials must be at least 1" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_writes_instances_and_truths(self, tmp_path, capsys):
         out_dir = tmp_path / "corpus"
         code = main(["synth", "--out", str(out_dir), "--universe-size", "3",
@@ -422,6 +436,37 @@ class TestBenchCommand:
         ]
         assert main(["bench", "--ablation", "--outliers", "0,1"]) == 1
         assert "one outlier count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--modalities", "5"), ("--noise-sigma", "0.9"),
+        ("--inconclusive-rate", "1.0"), ("--flip-rate", "0.5")])
+    def test_ablation_rejects_corruption_flags(self, monkeypatch, flag, value, capsys):
+        # the ablation's modality profiles fix the corruption; these flags
+        # used to be accepted and ignored
+        monkeypatch.setattr(fusematch.cli, "ablation",
+                            lambda trials, seed, base: pytest.fail("ablation ran"))
+        assert main(["bench", "--ablation", "--trials", "1", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {flag}:" in captured.err
+        assert captured.out == ""
+
+    def test_sweep_defaults(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(fusematch.cli, "monte_carlo_gap",
+                            lambda base, n_o_values, trials: seen.append(
+                                (base, n_o_values, trials)) or [])
+        monkeypatch.setattr(fusematch.cli, "format_gap_table", lambda rows: "")
+        assert main(["bench", "--trials", "2", "--seed", "4"]) == 0
+        assert main(["bench", "--trials", "2", "--modalities", "1", "--noise-sigma",
+                     "0", "--inconclusive-rate", "0.3", "--flip-rate", "0"]) == 0
+        sweep = SynthConfig(universe_size=3, num_sets=3, observe_prob=1.0,
+                            modality_count=2, noise_sigma=0.15, inconclusive_rate=0.15,
+                            flip_rate=0.05, rng_seed=4)
+        assert seen == [
+            (sweep, [0, 1, 2, 3], 2),
+            (replace(sweep, modality_count=1, noise_sigma=0.0, inconclusive_rate=0.3,
+                     flip_rate=0.0, rng_seed=0), [0, 1, 2, 3], 2),
+        ]
 
     @pytest.mark.parametrize("mode", [[], ["--ablation"]])
     @pytest.mark.parametrize("trials", ["0", "-2"])

@@ -23,6 +23,18 @@ from fusematch.oracle import TIE_TOL
 from conftest import random_instance
 
 
+def _assert_first_optimum(inst):
+    """solve_exact returns the first assignment in enumeration order within
+    TIE_TOL of the brute-force minimum, and that minimum."""
+    res = solve_exact(inst)
+    listed = list(enumerate_feasible(inst))
+    values = [frobenius_objective(a.entries, inst) for a in listed]
+    best_val = min(values)
+    first = next(a for a, v in zip(listed, values) if v <= best_val + TIE_TOL)
+    assert res.value == pytest.approx(best_val, abs=1e-8)
+    assert res.assignment == first
+
+
 class TestCountFeasible:
     def test_two_singleton_sets(self):
         # merge or keep apart
@@ -98,13 +110,7 @@ class TestSolveExact:
             inst = random_instance(rng, max_universe=3, max_sets=3)
             if inst.num_elements > 7:
                 continue
-            res = solve_exact(inst)
-            listed = list(enumerate_feasible(inst))
-            values = [frobenius_objective(a.entries, inst) for a in listed]
-            best_val = min(values)
-            first = next(a for a, v in zip(listed, values) if v <= best_val + TIE_TOL)
-            assert res.value == pytest.approx(best_val, abs=1e-8)
-            np.testing.assert_array_equal(res.assignment.entries, first.entries)
+            _assert_first_optimum(inst)
 
     def test_never_above_solver(self, rng):
         count = 0
@@ -117,30 +123,47 @@ class TestSolveExact:
             orc = solve_exact(inst)
             assert orc.value <= res.frobenius_value + 1e-9
 
-    def test_all_inconclusive_ties_everything(self):
-        inst = Instance(set_sizes=(1, 1, 1), modality_count=1)
-        res = solve_exact(inst, OracleConfig(report_all_optima=True))
-        assert len(res.optima) == count_feasible((1, 1, 1))
-        first = next(iter(enumerate_feasible(inst)))
-        np.testing.assert_array_equal(res.assignment.entries, first.entries)
+    def test_first_within_tie_tol_is_the_pruned_result(self, rng):
+        # scores from a small grid, with a near-tie 1e-10 below 0.5, put many
+        # assignments within TIE_TOL of one another; the pruned search must
+        # still return the first of them in enumeration order
+        grid = np.array([0.0, 0.25, 0.5, 0.5 - 1e-10, 0.75, 1.0])
+        for _ in range(60):
+            sizes = tuple(int(x) for x in rng.integers(1, 4, size=int(rng.integers(2, 4))))
+            count, m = int(rng.integers(1, 3)), sum(sizes)
+            pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+            scores = grid[rng.integers(0, len(grid), size=(len(pairs), count))]
+            inst = Instance(sizes, count, pairs, scores)
+            _assert_first_optimum(inst)
 
-    def test_first_optimum_in_enumeration_order(self, rng):
+    def test_all_inconclusive_ties_everything(self):
+        # every feasible assignment scores the same, so the first one wins
+        inst = Instance(set_sizes=(1, 1, 1), modality_count=1)
+        res = solve_exact(inst)
+        listed = list(enumerate_feasible(inst))
+        values = {frobenius_objective(a.entries, inst) for a in listed}
+        assert len(listed) == count_feasible((1, 1, 1))
+        assert max(values) - min(values) <= TIE_TOL
+        np.testing.assert_array_equal(res.assignment.entries, listed[0].entries)
+
+    def test_first_optimum_in_enumeration_order(self):
         # among exact ties the reported assignment is the earliest one
         inst = Instance(set_sizes=(2, 1), modality_count=1)
-        res = solve_exact(inst, OracleConfig(report_all_optima=True))
+        res = solve_exact(inst)
         listed = list(enumerate_feasible(inst))
         values = [frobenius_objective(a.entries, inst) for a in listed]
         vmin = min(values)
         expected = listed[values.index(vmin)]
         np.testing.assert_array_equal(res.assignment.entries, expected.entries)
-        assert len(res.optima) == sum(v <= vmin + TIE_TOL for v in values)
+        assert sum(v <= vmin + TIE_TOL for v in values) > 1
 
-    @pytest.mark.parametrize("report_all", [False, True])
-    def test_near_tie_goes_to_first_assignment(self, report_all):
-        # merging costs 4e-10 more than keeping apart, inside TIE_TOL, so the
-        # merge, first in enumeration order, wins in both modes
-        inst = Instance((1, 1), 1, [[0, 1]], [[0.5 - 1e-10]])
-        res = solve_exact(inst, OracleConfig(report_all_optima=report_all))
+    @pytest.mark.parametrize("merge_cheaper", [False, True])
+    def test_near_tie_goes_to_first_assignment(self, merge_cheaper):
+        # merging costs 4e-10 more (or less) than keeping apart, inside
+        # TIE_TOL, so the merge, first in enumeration order, wins either way
+        score = 0.5 + 1e-10 if merge_cheaper else 0.5 - 1e-10
+        inst = Instance((1, 1), 1, [[0, 1]], [[score]])
+        res = solve_exact(inst)
         assert res.assignment.num_clusters == 1
 
     def test_objective_equivalence_of_expansions(self, rng):

@@ -80,7 +80,8 @@ def test_tracer_counts_a_solve_and_an_oracle_call():
         assert tracer.counts[counter] > 0, counter
 
 
-@pytest.mark.parametrize("workload, count", [("paper-small", None), ("solve-mid", 1)])
+@pytest.mark.parametrize("workload, count", [("paper-small", None), ("solve-mid", 1),
+                                             ("io-large", 1)])
 def test_workload_ops_pass_their_verification(workload, count, tmp_path):
     # paper-small runs its whole chunk: verify compares precision_recall's F1
     # with the benchmark's own _pair_f1, and only the cases with F1 below 1
