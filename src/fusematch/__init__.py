@@ -10,10 +10,9 @@ from .bench import (AblationRow, MetricsReport, TrialRow, ablation,
                     all_pairs_matches, consecutive_matches, monte_carlo_gap,
                     optimality_gap, pair_metrics, percent_change,
                     precision_recall, write_ablation_csv, write_gap_csv)
-from .core import (Assignment, ClusterLabeling, FeasibilityReport,
-                   InfeasibleAssignmentError, Instance, InvalidInstanceError,
-                   ModalityMatrices, PairwiseTable, assignment_from_clusters,
-                   build_modality_matrices, canonical_labels,
+from .core import (Assignment, FeasibilityReport, InfeasibleAssignmentError,
+                   Instance, InvalidInstanceError, ModalityMatrices,
+                   PairwiseTable, build_modality_matrices, canonical_labels,
                    check_cycle_consistency, check_feasible,
                    clusters_from_assignment, feasibility_report,
                    pairwise_from_assignment)
@@ -29,13 +28,13 @@ from .synth import (GroundTruth, SynthConfig, generate, multimodal_suite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationRow", "Assignment", "ClusterLabeling", "FeasibilityReport",
+    "AblationRow", "Assignment", "FeasibilityReport",
     "GroundTruth", "InfeasibleAssignmentError", "Instance",
     "InstanceTooLargeError", "InvalidInstanceError", "MetricsReport",
     "ModalityMatrices", "OracleConfig", "OracleResult", "PairwiseTable",
     "RelaxationData", "SolverConfig", "SolverResult", "StageRecord",
     "SynthConfig", "TrialRow", "ablation", "all_pairs_matches",
-    "assignment_from_clusters", "build_modality_matrices",
+    "build_modality_matrices",
     "build_relaxation", "canonical_labels", "check_cycle_consistency",
     "check_feasible", "clusters_from_assignment", "consecutive_matches",
     "count_feasible", "enumerate_feasible", "feasibility_report",

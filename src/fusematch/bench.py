@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Instance, PairwiseTable, canonical_labels,
-                   clusters_from_assignment, pairwise_from_assignment)
+                   pairwise_from_assignment)
 from .oracle import solve_exact
 from .solver import SolverConfig, solve
 from .synth import (DEFAULT_SUITE_BASE, MULTIMODAL_PROFILES, SynthConfig,
@@ -95,7 +95,7 @@ def pair_metrics(predicted: PairwiseTable, truth: PairwiseTable) -> MetricsRepor
 def precision_recall(predicted, truth) -> MetricsReport:
     """Pairwise metrics of a predicted labeling against the ground truth.
 
-    Accepts ClusterLabeling/GroundTruth objects or raw sequences of hashable
+    Accepts Assignment/GroundTruth objects or raw sequences of hashable
     labels; every pair of equal labels counts, whatever the sets.
     """
     pred_labels = canonical_labels(getattr(predicted, "labels", predicted))
@@ -144,10 +144,8 @@ def monte_carlo_gap(base: SynthConfig, n_o_values: Sequence[int],
             times.append((time.perf_counter() - start) * 1e3)
             exact = solve_exact(instance)
             gaps.append(optimality_gap(result.frobenius_value, exact.value))
-            solver_metrics = precision_recall(
-                clusters_from_assignment(result.assignment), truth)
-            oracle_metrics = precision_recall(
-                clusters_from_assignment(exact.assignment), truth)
+            solver_metrics = precision_recall(result.assignment, truth)
+            oracle_metrics = precision_recall(exact.assignment, truth)
             dps.append(percent_change(solver_metrics.precision, oracle_metrics.precision))
             drs.append(percent_change(solver_metrics.recall, oracle_metrics.recall))
         rows.append(TrialRow(

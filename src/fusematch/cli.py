@@ -40,9 +40,8 @@ from .bench import (ablation, format_ablation_table, format_gap_table,
 # check_* and pairwise_* are not called (see cmd_check); perfbench/tracing.py rebinds
 # them, and tests/test_perfbench_contract.py guards that they stay importable
 from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F401
-                   InvalidInstanceError, assignment_from_clusters,
-                   check_cycle_consistency, check_feasible,
-                   clusters_from_assignment, pairwise_from_assignment)
+                   InvalidInstanceError, check_cycle_consistency, check_feasible,
+                   pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
 from .relax import build_relaxation, frobenius_objective, relaxed_objective
 from .solver import SolverConfig, SolverResult, solve
@@ -55,6 +54,7 @@ NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 TRUTH_FIELDS = {"set_sizes", "labels"}
+TRACE_FIELDS = {"d", "inner_iterations", "objective"}
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 
 # sweep defaults of the bench shape flags; the ablation's are DEFAULT_SUITE_BASE
@@ -223,7 +223,8 @@ def write_truth(truth: GroundTruth, set_sizes: Sequence[int],
 
 
 def _clusters(assignment: Assignment) -> list[list[int]]:
-    return [np.flatnonzero(column).tolist() for column in assignment.entries.T]
+    labels = np.array(assignment.labels)
+    return [np.flatnonzero(labels == c).tolist() for c in range(assignment.num_clusters)]
 
 
 def result_payload(result: SolverResult, config: dict) -> dict:
@@ -246,12 +247,23 @@ def read_result(path: str | Path) -> dict:
             isinstance(c, list) and all(type(x) is int for x in c)
             for c in clusters):
         raise FileFormatError(f"{path}: clusters: expected lists of integers")
+    if any(type(data[k]) not in NUMBER_TYPES
+           for k in ("relaxed_value", "frobenius_value") if k in data):
+        raise FileFormatError(f"{path}: objective values must be numbers")
+    if type(data.get("converged", False)) is not bool:
+        raise FileFormatError(f"{path}: converged: expected true or false")
+    if type(data.get("config", {})) is not dict:
+        raise FileFormatError(f"{path}: config: expected an object")
     trace = data.get("trace", [])
-    numbers = [data[k] for k in ("relaxed_value", "frobenius_value") if k in data]
-    if (not isinstance(trace, list) or not all(isinstance(s, dict) for s in trace)
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in numbers + [s.get("d") for s in trace])):
-        raise FileFormatError(f"{path}: objective values and trace d must be numbers")
+    if not isinstance(trace, list):
+        raise FileFormatError(f"{path}: trace: expected a list")
+    for i, stage in enumerate(trace):
+        _require_fields(stage, TRACE_FIELDS, TRACE_FIELDS, f"{path}: trace[{i}]")
+        steps = stage["inner_iterations"]
+        if (type(stage["d"]) not in NUMBER_TYPES or type(steps) is not int or steps < 0
+                or type(stage["objective"]) not in NUMBER_TYPES):
+            raise FileFormatError(f"{path}: trace[{i}]: expected numbers d and objective "
+                                  f"and a nonnegative integer inner_iterations")
     return data
 
 
@@ -264,11 +276,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = SolverConfig(rng_seed=args.seed)
     result = solve(instance, cfg)
     _dump_json(result_payload(result, asdict(cfg)), args.out)
-    labeling = clusters_from_assignment(result.assignment)
-    print(f"converged={result.converged} clusters={labeling.num_clusters} "
+    print(f"converged={result.converged} clusters={result.assignment.num_clusters} "
           f"frobenius={result.frobenius_value:.6g} relaxed={result.relaxed_value:.6g}")
     if truth is not None:
-        metrics = precision_recall(labeling, truth)
+        metrics = precision_recall(result.assignment, truth)
         print(f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
               f"f1={metrics.f1:.4f}")
     return 0 if result.converged else 2
@@ -279,8 +290,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = OracleConfig(max_elements=args.max_elements)
     exact = solve_exact(instance, cfg)
     # written as a converged solve with an empty trace, so relaxed at d = 0
-    relaxed = relaxed_objective(exact.assignment.entries.astype(float),
-                                build_relaxation(instance), 0.0)
+    relaxed = relaxed_objective(exact.assignment.entries, build_relaxation(instance), 0.0)
     result = SolverResult(assignment=exact.assignment, relaxed_value=relaxed,
                           frobenius_value=exact.value, trace=(), converged=True)
     _dump_json(result_payload(result, asdict(cfg)), args.out)
@@ -322,6 +332,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n_o_values = [int(x) for x in shape.pop("outliers", "").split(",") if x.strip()]
     except ValueError as exc:
         raise FileFormatError(f"--outliers: {exc}") from exc
+    if args.outliers is not None and not n_o_values:
+        raise FileFormatError("--outliers: expected at least one outlier count")
     if args.ablation:
         if len(n_o_values) > 1:
             raise FileFormatError("--outliers: the ablation takes one outlier count")
@@ -347,6 +359,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     m = instance.num_elements
     seen: dict[int, int] = {}
     for c, members in enumerate(result["clusters"]):
+        if not members:
+            print(f"cluster {c} is empty")
+            return 1
         for r in members:
             if not 0 <= r < m:
                 print(f"element {r} out of range for {m} elements")
@@ -361,7 +376,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 1
     labels = [seen[r] for r in range(m)]
     try:
-        assignment = assignment_from_clusters(labels, instance.set_sizes)
+        assignment = Assignment(labels, instance.set_sizes)
     except InfeasibleAssignmentError as exc:
         print(f"infeasible clusters: {exc}")
         return 1

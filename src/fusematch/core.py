@@ -4,8 +4,9 @@ Elements carry global indices: the p-th element of set i sits at
 offset(i) + p where offset(i) = m_0 + ... + m_{i-1}.  An instance stores its
 scores as two arrays, the element pairs (P, 2) and their per-modality
 scores (P, K); every other layer reads those arrays.  An assignment is a
-binary matrix with one row per element; rows that share a column belong to
-one cluster and are claimed to be views of the same underlying object.
+cluster label per element; elements that share a label are claimed to be
+views of the same underlying object.  Its one-hot matrix U has one row per
+element and one column per cluster.
 Pairwise matches are one symmetric boolean m-by-m matrix, the cross-set
 part of U U^T for an assignment U; they are cycle consistent exactly when
 they are that for some one-hot U.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,18 @@ def _value_eq(self, other: object) -> bool:
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
                for x, y in ((getattr(self, f.name), getattr(other, f.name))
                             for f in fields(self)))
+
+
+def _check_counts(config: object, **minimums: int) -> None:
+    """Each named config field must be an integer no less than its minimum;
+    the ValueError names the field.  A float would fail later, deep inside
+    numpy, and a bool would pass for 0 or 1."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}")
 
 
 class InvalidInstanceError(ValueError):
@@ -208,72 +222,6 @@ def check_feasible(entries: np.ndarray, instance: Instance) -> FeasibilityReport
     return feasibility_report(entries, instance.set_sizes)
 
 
-@dataclass(frozen=True, eq=False)
-class Assignment:
-    """Binary element-to-cluster matrix; construction enforces feasibility."""
-
-    entries: np.ndarray  # shape (m, num_clusters), values in {0, 1}
-    set_sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.entries)
-        if raw.ndim == 2 and not np.isin(raw, (0, 1)).all():
-            raise InfeasibleAssignmentError("assignment entries must be binary")
-        U = raw.astype(np.int64)
-        sizes = tuple(int(s) for s in self.set_sizes)
-        report = feasibility_report(U, sizes)
-        if not report.feasible:
-            raise InfeasibleAssignmentError(
-                f"rows with sum != 1: {list(report.row_violations)}; "
-                f"same-set column collisions: {list(report.column_violations)}")
-        if U.shape[1] and not U.any(axis=0).all():
-            empty = [int(c) for c in np.flatnonzero(~U.any(axis=0))]
-            raise InfeasibleAssignmentError(f"all-zero columns: {empty}")
-        U.setflags(write=False)
-        object.__setattr__(self, "entries", U)
-        object.__setattr__(self, "set_sizes", sizes)
-
-    __eq__ = _value_eq
-
-    @classmethod
-    def from_full_matrix(cls, entries: np.ndarray, set_sizes: Sequence[int]) -> "Assignment":
-        """Build an assignment from a square matrix, dropping unused columns."""
-        raw = np.asarray(entries)
-        if raw.ndim == 2 and not np.isin(raw, (0, 1)).all():
-            raise InfeasibleAssignmentError("assignment entries must be binary")
-        U = raw.astype(np.int64)
-        used = U.any(axis=0)
-        return cls(U[:, used], tuple(int(s) for s in set_sizes))
-
-    @property
-    def num_elements(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_clusters(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class ClusterLabeling:
-    """Cluster identifier per element; identifiers are contiguous from 0."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(int(x) for x in self.labels)
-        if not labels:
-            raise ValueError("labels must be nonempty")
-        seen = set(labels)
-        if seen != set(range(len(seen))):
-            raise ValueError("cluster identifiers must be contiguous from 0")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def num_clusters(self) -> int:
-        return len(set(self.labels))
-
-
 def canonical_labels(raw: Sequence) -> tuple[int, ...]:
     """Relabel arbitrary hashable labels to 0, 1, ... in first-appearance order."""
     mapping: dict = {}
@@ -285,28 +233,54 @@ def canonical_labels(raw: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-def clusters_from_assignment(assignment: Assignment) -> ClusterLabeling:
-    """Column membership of every row, relabeled in first-appearance order."""
-    cols = np.argmax(assignment.entries, axis=1)
-    return ClusterLabeling(canonical_labels(cols.tolist()))
+@dataclass(frozen=True)
+class Assignment:
+    """A clustering of the elements: ``labels[a]`` is element a's cluster.
 
-
-def assignment_from_clusters(labels: Sequence, set_sizes: Sequence[int]) -> Assignment:
-    """One-hot assignment for a labeling; rejects same-set co-clustering.
-
-    Accepts any hashable labels (a ClusterLabeling or a raw sequence) and
-    canonicalizes them in first-appearance order, so the result is the
-    inverse of clusters_from_assignment up to a column permutation.
+    Construction takes any hashable labels and canonicalises them to 0, 1,
+    ... in first-appearance order, so equal clusterings compare equal.  It
+    rejects two elements of one set in one cluster; a label per element is
+    one-to-one and cycle consistent by construction.
     """
-    seq = getattr(labels, "labels", labels)
-    canon = canonical_labels(list(seq))
-    sizes = tuple(int(s) for s in set_sizes)
-    m = sum(sizes)
-    if len(canon) != m:
-        raise ValueError(f"expected {m} labels for set sizes {sizes}, got {len(canon)}")
-    entries = np.zeros((m, max(canon) + 1), dtype=np.int64)
-    entries[np.arange(m), canon] = 1
-    return Assignment(entries, sizes)
+
+    labels: tuple[int, ...]
+    set_sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        sizes = tuple(int(s) for s in self.set_sizes)
+        if not sizes or any(s < 1 for s in sizes):
+            raise ValueError("set_sizes must be positive")
+        labels = canonical_labels(self.labels)
+        if len(labels) != sum(sizes):
+            raise ValueError(
+                f"expected {sum(sizes)} labels for set sizes {sizes}, got {len(labels)}")
+        n = len(sizes)
+        keys, counts = np.unique(np.array(labels) * n + np.repeat(np.arange(n), sizes),
+                                 return_counts=True)
+        if (counts > 1).any():
+            cluster, set_ = divmod(int(keys[counts > 1][0]), n)
+            raise InfeasibleAssignmentError(
+                f"cluster {cluster} holds more than one element of set {set_}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "set_sizes", sizes)
+
+    @property
+    def num_clusters(self) -> int:
+        return max(self.labels) + 1
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The binary matrix U: one row per element, one column per cluster
+        in label order, a single 1 per row; read-only int64."""
+        U = np.zeros((len(self.labels), self.num_clusters), dtype=np.int64)
+        U[np.arange(len(self.labels)), self.labels] = 1
+        U.setflags(write=False)
+        return U
+
+
+def clusters_from_assignment(assignment: Assignment) -> Assignment:
+    """The assignment itself, whose ``labels`` are the canonical clusters."""
+    return assignment
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,10 +328,10 @@ def pairwise_from_assignment(assignment: Assignment) -> PairwiseTable:
     """Cross-set match matrix U U^T induced by an assignment.
 
     Every row of U has one 1, so (U U^T)[a, b] says whether a and b share a
-    column; comparing column labels gives it without an integer matmul,
-    which numpy runs without BLAS.
+    label; comparing labels gives it without an integer matmul, which numpy
+    runs without BLAS.
     """
-    labels = assignment.entries.argmax(axis=1)
+    labels = np.array(assignment.labels)
     return PairwiseTable(assignment.set_sizes, labels[:, None] == labels[None, :])
 
 

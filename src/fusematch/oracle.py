@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Assignment, Instance, assignment_from_clusters
+from .core import Assignment, Instance, _check_counts
 from .relax import build_relaxation, frobenius_objective
 
 # Two objective values within this distance count as tied; ties go to the
@@ -36,8 +36,7 @@ class OracleConfig:
     max_elements: int = 12
 
     def __post_init__(self) -> None:
-        if self.max_elements < 1:
-            raise ValueError("max_elements must be positive")
+        _check_counts(self, max_elements=1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def enumerate_feasible(instance: Instance,
     _check_cap(instance, cfg)
     set_index = [int(s) for s in instance.set_index]
     for labels in _iter_labelings(set_index):
-        yield assignment_from_clusters(labels, instance.set_sizes)
+        yield Assignment(labels, instance.set_sizes)
 
 
 def solve_exact(instance: Instance,
@@ -172,7 +171,7 @@ def solve_exact(instance: Instance,
 
     rec(0, 0.0)
     pairsum, first = next((v, lab) for v, lab in improving if v <= best_value + TIE_TOL)
-    assignment = assignment_from_clusters(first, instance.set_sizes)
+    assignment = Assignment(first, instance.set_sizes)
     value = frobenius_objective(assignment.entries, instance)
     incremental = data.frob_const + pairsum
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):

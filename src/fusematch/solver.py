@@ -16,11 +16,10 @@ objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import Assignment, Instance, feasibility_report
+from .core import Assignment, Instance, _check_counts, feasibility_report
 from .relax import (RelaxationData, build_relaxation, frobenius_objective,
                     relaxed_gradient, relaxed_objective)
 
@@ -43,15 +42,7 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_inner_iters", "rng_seed"):
-            value = getattr(self, name)
-            # a float or bool would fail later, deep inside range or SeedSequence
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be at least 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
+        _check_counts(self, max_inner_iters=1, rng_seed=0)
 
 
 @dataclass(frozen=True)
@@ -199,7 +190,7 @@ def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
 
 
 def _repair(U: np.ndarray, abar: np.ndarray, set_sizes: tuple[int, ...]) -> np.ndarray:
-    """Feasible binary fallback for a fractional iterate.
+    """Feasible column per row, a fallback for a fractional iterate.
 
     Each row takes its largest entry's column; within a set, rows colliding
     on a column are reassigned one by one to the free column with the
@@ -234,9 +225,7 @@ def _repair(U: np.ndarray, abar: np.ndarray, set_sizes: tuple[int, ...]) -> np.n
                 cols[row] = best_col
                 members.setdefault(best_col, []).append(row)
         offset += size
-    repaired = np.zeros((m, m), dtype=np.int64)
-    repaired[np.arange(m), cols] = 1
-    return repaired
+    return cols
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResult:
@@ -252,35 +241,28 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     U = initialize(instance, cfg)
     jitter_rng = np.random.default_rng((cfg.rng_seed, 1))
     trace: list[StageRecord] = []
-    converged = False
-    binary: np.ndarray | None = None
-    d_final = d
     while True:
         inner = pgd_inner(U, data, d, cfg)
         U = inner.point
         trace.append(StageRecord(d=d, inner_iterations=inner.iterations,
                                  objective=inner.objective))
-        d_final = d
         rounded = np.rint(U)
         if (np.abs(U - rounded).max() <= BINARY_TOL
                 and feasibility_report(rounded, instance.set_sizes).feasible):
-            converged = True
-            binary = rounded.astype(np.int64)
+            cols, converged = rounded.argmax(axis=1), True
             break
         d *= D_GROWTH
         if d > d_max:
-            binary = _repair(U, data.abar, instance.set_sizes)
+            cols, converged = _repair(U, data.abar, instance.set_sizes), False
             break
         # Rows with no net attraction can settle on an equal-spread
         # stationary ridge of the overlap penalty (row sum c/(2c-1) over c
         # columns) that persists at every d.  A seeded kick at the stage
         # boundary breaks the symmetry; concentration then amplifies it.
         U = project(U + STAGE_JITTER * jitter_rng.random(U.shape))
-    if not feasibility_report(binary, instance.set_sizes).feasible:
-        raise RuntimeError("internal error: repair produced an infeasible assignment")
-    relaxed_value = relaxed_objective(binary.astype(float), data, d_final)
-    frob_value = frobenius_objective(binary, instance)
-    assignment = Assignment.from_full_matrix(binary, instance.set_sizes)
+    assignment = Assignment(cols.tolist(), instance.set_sizes)
+    relaxed_value = relaxed_objective(assignment.entries, data, trace[-1].d)
+    frob_value = frobenius_objective(assignment.entries, instance)
     return SolverResult(assignment=assignment, relaxed_value=relaxed_value,
                         frobenius_value=frob_value, trace=tuple(trace),
                         converged=converged)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, Instance, assignment_from_clusters
+from .core import Assignment, Instance, _check_counts
 
 _REDRAW_CAP = 100
 
@@ -47,16 +47,10 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
-            raise ValueError("universe_size must be at least 1")
-        if self.num_sets < 1:
-            raise ValueError("num_sets must be at least 1")
-        if self.modality_count < 1:
-            raise ValueError("modality_count must be at least 1")
+        _check_counts(self, universe_size=1, num_sets=1, modality_count=1,
+                      outliers_per_run=0, rng_seed=0)
         if not 0 < self.observe_prob <= 1:
             raise ValueError("observe_prob must lie in (0, 1]")
-        if self.outliers_per_run < 0:
-            raise ValueError("outliers_per_run must be nonnegative")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if not 0 <= self.inconclusive_rate <= 1:
@@ -70,8 +64,7 @@ class SynthConfig:
             values = tuple(float(x) for x in raw)
             if len(values) != self.modality_count:
                 raise ValueError(f"{name} must list one value per modality")
-            low = 0.0
-            if any(x < low or (name != "sigma_per_modality" and x > 1) for x in values):
+            if any(x < 0 or (name != "sigma_per_modality" and x > 1) for x in values):
                 raise ValueError(f"{name} values out of range")
             object.__setattr__(self, name, values)
 
@@ -93,8 +86,7 @@ class GroundTruth:
     @classmethod
     def from_labels(cls, labels: Sequence[int], set_sizes: Sequence[int]) -> "GroundTruth":
         labels = tuple(int(x) for x in labels)
-        return cls(labels=labels,
-                   assignment=assignment_from_clusters(labels, set_sizes))
+        return cls(labels=labels, assignment=Assignment(labels, set_sizes))
 
 
 def generate(config: SynthConfig) -> tuple[Instance, GroundTruth]:

@@ -48,7 +48,6 @@ def random_feasible_assignment(rng: np.random.Generator, set_sizes: tuple[int, .
     """
     labels: list[int] = []
     used_by_cluster: list[set[int]] = []
-    pos = 0
     for set_idx, size in enumerate(set_sizes):
         for _ in range(size):
             open_clusters = [
@@ -63,13 +62,7 @@ def random_feasible_assignment(rng: np.random.Generator, set_sizes: tuple[int, .
                 c = open_clusters[pick]
                 labels.append(c)
                 used_by_cluster[c].add(set_idx)
-            pos += 1
-    m = sum(set_sizes)
-    num_clusters = len(used_by_cluster)
-    entries = np.zeros((m, num_clusters))
-    for row, lab in enumerate(labels):
-        entries[row, lab] = 1.0
-    return Assignment(entries=entries, set_sizes=tuple(set_sizes))
+    return Assignment(labels, set_sizes)
 
 
 def random_instance(rng: np.random.Generator, *, max_universe: int = 4,

@@ -396,6 +396,41 @@ class TestCheckCommand:
         out.write_text('{"clusters": [[0], [1]]}')
         assert main(["check", str(out), str(inst_path)]) == 0
 
+    def test_empty_cluster_fails(self, tmp_path, capsys):
+        # solve never writes an empty cluster; check used to accept one
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        data["clusters"].append([])
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(out), str(inst_path)]) == 1
+        assert capsys.readouterr().out == f"cluster {len(data['clusters']) - 1} is empty\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("converged", "yes", "converged: expected true or false"),
+        ("config", 5, "config: expected an object"),
+        ("trace", {"d": 1.0}, "trace: expected a list"),
+        ("trace", [{"d": 1.0, "inner_iterations": 3, "objective": 0.5, "bogus": 1}],
+         "trace[0]: unknown field 'bogus'"),
+        ("trace", [{"d": 1.0, "objective": 0.5}], "trace[0]: missing field 'inner_iterations'"),
+        ("trace", [{"d": "1", "inner_iterations": 3, "objective": 0.5}], "trace[0]: expected"),
+        ("trace", [{"d": 1.0, "inner_iterations": -1, "objective": 0.5}], "trace[0]: expected"),
+        ("trace", [{"d": 1.0, "inner_iterations": 2.0, "objective": 0.5}], "trace[0]: expected"),
+        ("trace", [{"d": 1.0, "inner_iterations": True, "objective": 0.5}], "trace[0]: expected"),
+        ("trace", [{"d": 1.0, "inner_iterations": 3, "objective": None}], "trace[0]: expected"),
+        ("trace", [7], "trace[0]: expected a JSON object"),
+    ])
+    def test_malformed_result_fields_rejected(self, tmp_path, capsys, field, value, message):
+        # each of these used to pass with "ok"
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        data[field] = value
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), str(inst_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {out}: {message}" in captured.err
+        assert "ok:" not in captured.out
+
     def test_missing_element_fails(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)
         data = json.loads(out.read_text())
@@ -480,3 +515,17 @@ class TestBenchCommand:
     def test_bad_outlier_list_exits_one(self, capsys):
         assert main(["bench", "--outliers", "0,x"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--ablation"]])
+    @pytest.mark.parametrize("outliers", [" ", ",", ""])
+    def test_outliers_flag_without_counts_exits_one(self, monkeypatch, mode, outliers,
+                                                     capsys):
+        # the sweep used to print an empty table and the ablation to ignore the flag
+        monkeypatch.setattr(fusematch.cli, "ablation",
+                            lambda trials, seed, base: pytest.fail("ablation ran"))
+        monkeypatch.setattr(fusematch.cli, "monte_carlo_gap",
+                            lambda base, n_o_values, trials: pytest.fail("sweep ran"))
+        assert main(["bench", *mode, "--trials", "1", "--outliers", outliers]) == 1
+        captured = capsys.readouterr()
+        assert "error: --outliers: expected at least one outlier count" in captured.err
+        assert captured.out == ""

@@ -13,7 +13,6 @@ from fusematch import (
     InfeasibleAssignmentError,
     Instance,
     InvalidInstanceError,
-    assignment_from_clusters,
     build_modality_matrices,
     canonical_labels,
     check_cycle_consistency,
@@ -187,8 +186,6 @@ class TestFeasibility:
         entries = np.array([[0.5, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             feasibility_report(entries, (1, 1))
-        with pytest.raises(InfeasibleAssignmentError):
-            Assignment(entries=np.array([[1.7], [1.0]]), set_sizes=(1, 1))
 
     def test_column_violations_in_set_then_column_order(self):
         entries = np.array([[0, 1, 1], [0, 1, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])
@@ -208,40 +205,54 @@ class TestFeasibility:
 
 
 class TestAssignment:
-    def test_rejects_zero_column(self):
-        entries = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(InfeasibleAssignmentError):
-            Assignment(entries=entries, set_sizes=(1, 1))
-
-    def test_from_full_matrix_drops_zero_columns(self):
-        full = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        a = Assignment.from_full_matrix(full, (1, 1))
-        assert a.entries.shape == (2, 2)
-        assert a.num_clusters == 2
-
     def test_pairwise_matches_co_clustered_pair(self):
-        table = pairwise_from_assignment(assignment_from_clusters([0, 1, 0], (1, 1, 1)))
+        table = pairwise_from_assignment(Assignment([0, 1, 0], (1, 1, 1)))
         assert np.argwhere(np.triu(table.match)).tolist() == [[0, 2]]
 
     def test_clusters_roundtrip(self):
         labels = (0, 1, 0, 2)
-        a = assignment_from_clusters(labels, (1, 1, 1, 1))
-        assert clusters_from_assignment(a).labels == labels
+        a = Assignment(labels, (1, 1, 1, 1))
+        assert a.labels == labels
+        assert clusters_from_assignment(a) is a
 
     def test_same_set_co_clustering_rejected(self):
-        with pytest.raises(InfeasibleAssignmentError):
-            assignment_from_clusters([0, 0], (2,))
+        with pytest.raises(InfeasibleAssignmentError,
+                           match="cluster 0 holds more than one element of set 0"):
+            Assignment([0, 0], (2,))
+        # canonical (0, 1, 1, 2, 1): cluster 1 holds elements 2 and 4 of set 1
+        with pytest.raises(InfeasibleAssignmentError,
+                           match="cluster 1 holds more than one element of set 1"):
+            Assignment(["x", "y", "y", "z", "y"], (2, 3))
+
+    @pytest.mark.parametrize("labels, sizes, message", [
+        ([0, 1, 2], (2, 2), "expected 4 labels"),
+        ([0, 1], (), "set_sizes"),
+        ([0, 1], (2, 0), "set_sizes"),
+    ])
+    def test_wrong_length_or_set_sizes_rejected(self, labels, sizes, message):
+        with pytest.raises(ValueError, match=message) as info:
+            Assignment(labels, sizes)
+        assert type(info.value) is ValueError
+
+    def test_labels_canonical_and_entries_one_hot(self):
+        a = Assignment(["b", "a", "b"], (1, 2))
+        assert a.labels == (0, 1, 0)
+        assert a.num_clusters == 2
+        np.testing.assert_array_equal(a.entries, [[1, 0], [0, 1], [1, 0]])
+        assert a.entries.dtype == np.int64
+        with pytest.raises(ValueError):
+            a.entries[0, 0] = 0
 
     def test_canonical_labels_first_appearance(self):
         assert canonical_labels([5, 2, 5, 7]) == (0, 1, 0, 2)
 
     def test_equality_compares_entries(self):
-        # the default dataclass __eq__ raised on the ndarray field
-        a = assignment_from_clusters([0, 1, 1, 0], (2, 2))
-        assert a == assignment_from_clusters([0, 1, 1, 0], (2, 2))
-        assert a != assignment_from_clusters([0, 1, 0, 1], (2, 2))
-        assert (assignment_from_clusters([0, 1, 2, 3], (2, 2))
-                != assignment_from_clusters([0, 1, 2, 3], (1, 3)))
+        # equality is of the clustering, whatever the raw labels
+        a = Assignment([0, 1, 1, 0], (2, 2))
+        assert a == Assignment([0, 1, 1, 0], (2, 2)) == Assignment([5, 2, 2, 5], (2, 2))
+        assert a != Assignment([0, 1, 0, 1], (2, 2))
+        assert (Assignment([0, 1, 2, 3], (2, 2))
+                != Assignment([0, 1, 2, 3], (1, 3)))
         truth = GroundTruth.from_labels([0, 1, 1, 0], (2, 2))
         assert truth == GroundTruth.from_labels([0, 1, 1, 0], (2, 2))
         assert truth != GroundTruth.from_labels([0, 1, 0, 1], (2, 2))
@@ -249,21 +260,21 @@ class TestAssignment:
 
 class TestPairwiseTable:
     def test_block_transpose_for_reversed_order(self):
-        a = assignment_from_clusters([0, 1, 1, 0], (2, 2))
+        a = Assignment([0, 1, 1, 0], (2, 2))
         table = pairwise_from_assignment(a)
         np.testing.assert_array_equal(table.block(1, 0), table.block(0, 1).T)
 
     def test_block_values(self):
-        a = assignment_from_clusters([0, 1, 1, 0], (2, 2))
+        a = Assignment([0, 1, 1, 0], (2, 2))
         table = pairwise_from_assignment(a)
         np.testing.assert_array_equal(table.block(0, 1), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_equality_compares_match(self):
-        table = pairwise_from_assignment(assignment_from_clusters([0, 1, 1, 0], (2, 2)))
+        table = pairwise_from_assignment(Assignment([0, 1, 1, 0], (2, 2)))
         assert table == pairwise_from_assignment(
-            assignment_from_clusters([0, 1, 1, 0], (2, 2)))
+            Assignment([0, 1, 1, 0], (2, 2)))
         assert table != pairwise_from_assignment(
-            assignment_from_clusters([0, 1, 2, 3], (2, 2)))
+            Assignment([0, 1, 2, 3], (2, 2)))
 
     def test_from_assignment_is_cross_set_part_of_u_ut(self):
         rng = np.random.default_rng(11)
@@ -304,7 +315,7 @@ class TestPairwiseTable:
 
 class TestCycleConsistency:
     def test_consistent_triangle(self):
-        a = assignment_from_clusters([0, 0, 0], (1, 1, 1))
+        a = Assignment([0, 0, 0], (1, 1, 1))
         assert check_cycle_consistency(pairwise_from_assignment(a))
 
     def test_broken_triangle(self):
@@ -350,13 +361,30 @@ def test_cycle_consistency_is_transitivity_property(data):
     assert check_cycle_consistency(table) == bool(((R @ R > 0) <= (R > 0)).all())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_assignment_clusters_roundtrip_property(data):
+    # a labeling relabeled by permuted ints or by strings is the same
+    # clustering: same canonical labels, same U U^T, equal assignments
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    n = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(1, 5))
     sizes = tuple(data.draw(st.integers(1, 4)) for _ in range(n))
-    a = random_feasible_assignment(rng, sizes)
-    labels = clusters_from_assignment(a)
-    b = assignment_from_clusters(labels, sizes)
-    np.testing.assert_array_equal(a.entries, b.entries)
+    base = random_feasible_assignment(rng, sizes)
+    perm = rng.permutation(base.num_clusters) + 7
+    for raw in ([int(perm[x]) for x in base.labels], [f"obj{x}" for x in base.labels]):
+        a = Assignment(raw, sizes)
+        labels = a.labels
+        assert labels == base.labels
+        assert all(x <= max(labels[:i], default=-1) + 1 for i, x in enumerate(labels))
+        np.testing.assert_array_equal(a.entries @ a.entries.T,
+                                      np.equal.outer(labels, labels))
+        assert a == base and hash(a) == hash(base)
+    # any raw labeling: accepted exactly when no set repeats a label
+    m = sum(sizes)
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    set_index = np.repeat(np.arange(n), sizes).tolist()
+    if len(set(zip(raw, set_index))) == m:
+        assert Assignment(raw, sizes).labels == canonical_labels(raw)
+    else:
+        with pytest.raises(InfeasibleAssignmentError):
+            Assignment(raw, sizes)

@@ -80,6 +80,12 @@ class TestEnumerate:
         res = solve_exact(inst, cfg)
         assert res.value >= 0.0
 
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_config_rejects_bad_max_elements(self, value):
+        # 2.5 and True used to be accepted
+        with pytest.raises(ValueError, match="max_elements"):
+            OracleConfig(max_elements=value)
+
 
 class TestSolveExact:
     def test_certain_match_merges(self):

@@ -27,6 +27,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(universe_size=2, num_sets=2, flip_rate=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("universe_size", 2.5), ("num_sets", True), ("modality_count", 1.0),
+        ("outliers_per_run", 1.5), ("rng_seed", 0.5)])
+    def test_rejects_non_integer_counts(self, field, value):
+        # 2.5 and 1.5 used to fail inside numpy with TypeError; num_sets=True
+        # gave one set
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SynthConfig(**{"universe_size": 2, "num_sets": 2, field: value})
+
     def test_per_modality_override_length(self):
         with pytest.raises(ValueError):
             SynthConfig(universe_size=2, num_sets=2, modality_count=2,
