@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TextIO
@@ -44,7 +44,8 @@ from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F40
                    pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
 from .relax import build_relaxation, frobenius_objective, relaxed_objective
-from .solver import SolverConfig, SolverResult, solve
+from .solver import (D_GROWTH, D_INIT, STOP_REASONS, SolverConfig, SolverResult,
+                     solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
@@ -54,8 +55,9 @@ NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 TRUTH_FIELDS = {"set_sizes", "labels"}
-TRACE_FIELDS = {"d", "inner_iterations", "objective"}
+TRACE_FIELDS = {"d", "inner_iterations", "objective"}   # and "stop", optional
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
+STAGE_RTOL = 1e-6  # check: a converged solve's last-stage objective vs its relaxed value
 
 # sweep defaults of the bench shape flags; the ablation's are DEFAULT_SUITE_BASE
 SWEEP_SHAPE = {"universe_size": 3, "num_sets": 3, "observe_prob": 1.0,
@@ -234,7 +236,7 @@ def result_payload(result: SolverResult, config: dict) -> dict:
         "frobenius_value": result.frobenius_value,
         "converged": result.converged,
         "trace": [{"d": s.d, "inner_iterations": s.inner_iterations,
-                   "objective": s.objective} for s in result.trace],
+                   "objective": s.objective, "stop": s.stop} for s in result.trace],
         "config": config,
     }
 
@@ -258,13 +260,52 @@ def read_result(path: str | Path) -> dict:
     if not isinstance(trace, list):
         raise FileFormatError(f"{path}: trace: expected a list")
     for i, stage in enumerate(trace):
-        _require_fields(stage, TRACE_FIELDS, TRACE_FIELDS, f"{path}: trace[{i}]")
+        _require_fields(stage, TRACE_FIELDS | {"stop"}, TRACE_FIELDS, f"{path}: trace[{i}]")
         steps = stage["inner_iterations"]
         if (type(stage["d"]) not in NUMBER_TYPES or type(steps) is not int or steps < 0
                 or type(stage["objective"]) not in NUMBER_TYPES):
             raise FileFormatError(f"{path}: trace[{i}]: expected numbers d and objective "
                                   f"and a nonnegative integer inner_iterations")
+        if stage.get("stop", STOP_REASONS[0]) not in STOP_REASONS:
+            raise FileFormatError(f"{path}: trace[{i}]: stop: expected one of "
+                                  f"{', '.join(STOP_REASONS)}")
+    if trace:   # a trace comes from solve, so config holds SolverConfig fields
+        config = data.get("config", {})
+        _require_fields(config, {f.name for f in fields(SolverConfig)}, set(),
+                        f"{path}: config")
+        try:
+            SolverConfig(**config)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: config: {exc}") from exc
     return data
+
+
+def _agree(reported: float, value: float, rtol: float) -> bool:
+    return abs(reported - value) <= rtol * max(1.0, abs(reported), abs(value))
+
+
+def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
+    """The first stage of a solver trace that solve cannot have written:
+    its d is off the schedule D_INIT K D_GROWTH^i, its inner iterations
+    exceed config.max_inner_iters, or its stop reason is "max_iters" while
+    they stay under that cap, or another reason while they reach it."""
+    trace = result.get("trace", [])
+    if not trace:
+        return None
+    cap = SolverConfig(**result.get("config", {})).max_inner_iters
+    d = D_INIT * instance.modality_count
+    for i, stage in enumerate(trace):
+        where = f"{path}: trace[{i}]"
+        if not _agree(stage["d"], d, VALUE_RTOL):
+            return f"{where}: d {stage['d']!r} is not the schedule's {d!r}"
+        steps = stage["inner_iterations"]
+        if steps > cap:
+            return f"{where}: inner_iterations {steps} exceeds max_inner_iters {cap}"
+        if "stop" in stage and (stage["stop"] == "max_iters") != (steps == cap):
+            return (f"{where}: stop {stage['stop']!r} with {steps} of "
+                    f"max_inner_iters {cap} inner iterations")
+        d *= D_GROWTH
+    return None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -382,17 +423,28 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 1
     # feasible by the line above, and one-hot labels are cycle consistent by construction
     # (tests/test_core.py::TestCycleConsistency::test_random_assignments_are_cycle_consistent)
+    error = _trace_error(result, instance, args.result)
+    if error:
+        print(error)
+        return 1
     # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
-    d_final = (result.get("trace") or [{"d": 0.0}])[-1]["d"]
+    trace = result.get("trace") or [{"d": 0.0}]
     recompute = {
         "frobenius_value": lambda: frobenius_objective(assignment.entries, instance),
         "relaxed_value": lambda: relaxed_objective(
-            assignment.entries, build_relaxation(instance), d_final),
+            assignment.entries, build_relaxation(instance), trace[-1]["d"]),
     }
     for name in [n for n in recompute if n in result]:
         reported, value = result[name], recompute[name]()
-        if not abs(reported - value) <= VALUE_RTOL * max(1.0, abs(reported), abs(value)):
+        if not _agree(reported, value, VALUE_RTOL):
             print(f"{name} {reported!r} does not match the recomputed {value!r}")
+            return 1
+    # a converged solve's last stage ends within BINARY_TOL of its binary output
+    if "objective" in trace[-1] and result.get("converged") is True:
+        reported, value = trace[-1]["objective"], recompute["relaxed_value"]()
+        if not _agree(reported, value, STAGE_RTOL):
+            print(f"{args.result}: trace[{len(trace) - 1}]: objective {reported!r} is "
+                  f"not the converged solve's relaxed value {value!r}")
             return 1
     print("ok: clusters are feasible and cycle consistent")
     return 0

@@ -119,13 +119,32 @@ def relaxed_gradient(U: np.ndarray, data: RelaxationData, d: float) -> np.ndarra
     U = _check_u(U, data.num_elements)
     if d < 0:
         raise ValueError("penalty weight must be nonnegative")
-    grad = 2.0 * (data.abar @ U)
+    return _gradient(U, data.abar @ U, data, d)
+
+
+def _gradient(U: np.ndarray, abar_u: np.ndarray, data: RelaxationData,
+              d: float) -> np.ndarray:
+    """``relaxed_gradient`` from a given abar U, whose product is the only
+    dense one: the penalty terms are row and per-set column sums."""
+    grad = 2.0 * abar_u
     if d:
         row_sums = U.sum(axis=1)
         set_sums = np.add.reduceat(U, data.set_offsets, axis=0)
         grad += 2.0 * d * ((2.0 * row_sums - 1.0)[:, None] - 2.0 * U
                            + set_sums[data.set_index])
     return grad
+
+
+def _curvature(D: np.ndarray, abar_d: np.ndarray, data: RelaxationData,
+               d: float) -> float:
+    """q in f(U + t D) = f(U) + t <grad, D> + t^2 q, the same at every U:
+    <D, abar D> + d (2 ||D 1||^2 - 2 ||D||^2 + ||C(D)||^2), the quadratic
+    part of ``relaxed_objective`` along D."""
+    row_sums = D.sum(axis=1)
+    set_sums = np.add.reduceat(D, data.set_offsets, axis=0)
+    penalty = (2.0 * float(row_sums @ row_sums) - 2.0 * float((D * D).sum())
+               + float((set_sums * set_sums).sum()))
+    return float((D * abar_d).sum()) + d * penalty
 
 
 def frobenius_from_mats(U: np.ndarray, mats: np.ndarray) -> float:

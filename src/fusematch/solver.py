@@ -2,15 +2,21 @@
 
 Rows of the iterate live in the capped simplex {x >= 0, sum(x) <= 1}.  Each
 continuation stage minimizes the relaxed objective of ``build_relaxation`` at
-a fixed penalty weight by projected gradient steps of exact length; the
-weight then grows geometrically, warm-starting from the last iterate, until
-every entry sits within BINARY_TOL of {0, 1} and the rounded matrix is
-feasible.  Snapping is therefore not rounding a fractional solution.  If the
-weight cap is reached first, a greedy repair produces a feasible binary
-fallback and the result is marked not converged.  The reported
-``relaxed_value`` is that same function at the binary output and the last
-stage's weight, so on a converged solve it agrees with the last stage's
-objective.
+a fixed penalty weight by projected gradient steps of exact length.  The
+objective is quadratic, so an inner iteration needs one dense product, abar
+D along its direction D: it gives the step's curvature, and abar U (hence
+the gradient) and the objective are kept up to date from it.  Once the
+support of the iterate has settled, the projection takes a spectral step
+length instead of 1 (Barzilai & Borwein 1988; Birgin, Martinez & Raydan
+2000), so rows whose only curvature is the penalty's reach their vertex in
+one step instead of shrinking geometrically.  The weight then grows
+geometrically, warm-starting from the last iterate, until every entry sits
+within BINARY_TOL of {0, 1} and the rounded matrix is feasible.  Snapping
+is therefore not rounding a fractional solution.  If the weight cap is
+reached first, a greedy repair produces a feasible binary fallback and the
+result is marked not converged.  The reported ``relaxed_value`` is that
+same function at the binary output and the last stage's weight, so on a
+converged solve it agrees with the last stage's objective.
 """
 
 from __future__ import annotations
@@ -20,8 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts, feasibility_report
-from .relax import (RelaxationData, build_relaxation, frobenius_objective,
-                    relaxed_gradient, relaxed_objective)
+# relaxed_gradient is not called (pgd_inner forms the gradient from abar U);
+# perfbench/tracing.py rebinds it, and tests/test_perfbench_contract.py guards it
+from .relax import (RelaxationData, _curvature, _gradient,  # noqa: F401
+                    build_relaxation, frobenius_objective, relaxed_gradient,
+                    relaxed_objective)
 
 ARMIJO_SIGMA = 1e-4  # sufficient-decrease fraction of the model's slope
 STAGE_JITTER = 1e-3  # warm-start perturbation between continuation stages
@@ -30,6 +39,9 @@ D_GROWTH = 2.0  # penalty weight factor from one stage to the next
 D_MAX = 1e4  # penalty weight cap, per modality; past it the repair runs
 INNER_TOL = 1e-6  # a stage stops at ||D|| <= INNER_TOL per element
 BINARY_TOL = 1e-3  # converged once every entry is this close to {0, 1}
+SETTLE = 10  # unchanged-support iterations before the spectral step length
+S_MAX = 1e4  # spectral step length cap; the floor is the unit step
+STOP_REASONS = ("tol", "stall", "max_iters")  # why a stage stopped; see StageRecord
 
 
 @dataclass(frozen=True)
@@ -47,11 +59,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: penalty weight, inner iterations, final value."""
+    """One continuation stage: penalty weight, inner iterations, final value
+    and why the stage stopped: ``"tol"`` (the step fell under INNER_TOL per
+    element), ``"stall"`` (no step decreases the objective at float
+    precision) or ``"max_iters"`` (the iteration cap ran out)."""
 
     d: float
     inner_iterations: int
     objective: float
+    stop: str
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,7 @@ class LineSearchResult:
     point: np.ndarray
     value: float
     accepted: bool
+    curvature: float
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,7 @@ class InnerResult:
     point: np.ndarray
     iterations: int
     objective: float
+    stop: str
 
 
 def project(U: np.ndarray) -> np.ndarray:
@@ -126,56 +144,89 @@ def project_row(x: np.ndarray) -> np.ndarray:
 
 
 def armijo_search(U: np.ndarray, direction: np.ndarray, data: RelaxationData,
-                  d: float, *, f0: float, grad: np.ndarray) -> LineSearchResult:
-    """Exact step along D = direction = project(U - grad) - U, checked by
-    the Armijo rule.  U + t D for t in [0, 1] is feasible without projecting.
-    f is quadratic, so f(U + t D) = f0 + t g + t^2 q with g = <grad, D> and
-    q = f(U + D) - f0 - g; the minimizing t in [0, 1] is 1 when q <= -g / 2,
-    else -g / (2 q).  The step is accepted when f <= f0 + ARMIJO_SIGMA t g;
-    a D that is no descent direction at float precision is not accepted,
-    which callers treat as stationarity.
+                  d: float, *, f0: float, grad: np.ndarray,
+                  abar_d: np.ndarray | None = None) -> LineSearchResult:
+    """Exact step along a direction D from U, checked by the Armijo rule.
+
+    D = project(U - s grad) - U for a step length s >= 1, so U + t D for t in
+    [0, 1] is feasible without projecting.  f is quadratic, so f(U + t D) =
+    f0 + t g + t^2 q with g = <grad, D> and q from D and abar_d = abar D
+    (formed here when not given); the minimizing t in [0, 1] is 1 when
+    q <= -g / 2, else -g / (2 q), and the value there is f0 + t g + t^2 q.
+    The step is accepted when that value is <= f0 + ARMIJO_SIGMA t g; a D
+    that is no descent direction at float precision is not accepted, which
+    callers treat as stationarity.  ``curvature`` is q, or 0 without a step.
     """
     slope = float((grad * direction).sum())
     if slope < 0.0:
-        point = U + direction
-        value = relaxed_objective(point, data, d)
-        curvature = value - f0 - slope
+        if abar_d is None:
+            abar_d = data.abar @ direction
+        curvature = _curvature(direction, abar_d, data, d)
         alpha = 1.0
         if curvature > -0.5 * slope:
             alpha = -slope / (2.0 * curvature)
-            point = U + alpha * direction
-            value = relaxed_objective(point, data, d)
+        point = U + alpha * direction
+        value = f0 + alpha * slope + alpha * alpha * curvature
         if value <= f0 + ARMIJO_SIGMA * alpha * slope:
-            return LineSearchResult(alpha=alpha, point=point, value=value, accepted=True)
-    return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False)
+            return LineSearchResult(alpha=alpha, point=point, value=value,
+                                    accepted=True, curvature=curvature)
+    return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False,
+                            curvature=0.0)
 
 
 def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
               config: SolverConfig) -> InnerResult:
     """Minimize the relaxed objective at fixed d from a feasible start.
 
-    One projection per iteration gives the search direction D =
-    project(U - grad) - U; stops when ||D|| <= INNER_TOL * m, after
-    config.max_inner_iters steps, or when no step decreases the objective.
+    Each iteration makes one dense product, abar D: abar U is updated by
+    t abar D, the gradient is formed from abar U and the O(m c) penalty
+    terms, and the objective is tracked as f + t g + t^2 q, then recomputed
+    with ``relaxed_objective`` where the stage returns.  The direction is
+    D = project(U - s grad) - U.  The step length s is 1 until the support
+    (U > 0) has not changed for SETTLE accepted iterations; from then on it
+    is the Barzilai-Borwein length <dU, dU> / <dU, d grad> of the last step,
+    which for the quadratic f is ||D||^2 / (2 q), clipped to [1, S_MAX] (S_MAX
+    when q <= 0).  A support change sets s back to 1.  The stage stops when
+    ||D|| <= INNER_TOL * m (``"tol"``; with s >= 1 no looser than the unit-
+    step test), when no step decreases the objective (``"stall"``), or after
+    config.max_inner_iters steps (``"max_iters"``).
     """
     U = project(np.asarray(U0, dtype=float))
     m = U.shape[0]
     tol = INNER_TOL * m
     value = relaxed_objective(U, data, d)
-    iterations = 0
+    abar_u = data.abar @ U
+    support, settled, step_length = U > 0.0, 0, 1.0
+    iterations, stop = 0, "max_iters"
     for _ in range(config.max_inner_iters):
         if not np.isfinite(value):
             raise FloatingPointError("relaxed objective became non-finite")
-        grad = relaxed_gradient(U, data, d)
-        direction = project(U - grad) - U
-        if float(np.linalg.norm(direction)) <= tol:
+        grad = _gradient(U, abar_u, data, d)
+        direction = project(U - step_length * grad) - U
+        norm = float(np.linalg.norm(direction))
+        if norm <= tol:
+            stop = "tol"
             break
-        step = armijo_search(U, direction, data, d, f0=value, grad=grad)
+        abar_d = data.abar @ direction
+        step = armijo_search(U, direction, data, d, f0=value, grad=grad, abar_d=abar_d)
         if not step.accepted or step.value >= value:
-            break  # no strictly decreasing step exists at float precision
+            stop = "stall"  # no strictly decreasing step exists at float precision
+            break
         U, value = step.point, step.value
+        abar_u = abar_u + step.alpha * abar_d
         iterations += 1
-    return InnerResult(point=U, iterations=iterations, objective=value)
+        new_support = U > 0.0
+        if np.array_equal(new_support, support):
+            settled += 1
+        else:
+            support, settled = new_support, 0
+        step_length = 1.0
+        if settled >= SETTLE:
+            step_length = S_MAX
+            if step.curvature > 0.0:
+                step_length = min(max(norm * norm / (2.0 * step.curvature), 1.0), S_MAX)
+    return InnerResult(point=U, iterations=iterations,
+                       objective=relaxed_objective(U, data, d), stop=stop)
 
 
 def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
@@ -245,7 +296,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
         inner = pgd_inner(U, data, d, cfg)
         U = inner.point
         trace.append(StageRecord(d=d, inner_iterations=inner.iterations,
-                                 objective=inner.objective))
+                                 objective=inner.objective, stop=inner.stop))
         rounded = np.rint(U)
         if (np.abs(U - rounded).max() <= BINARY_TOL
                 and feasibility_report(rounded, instance.set_sizes).feasible):

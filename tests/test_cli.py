@@ -419,6 +419,10 @@ class TestCheckCommand:
         ("trace", [{"d": 1.0, "inner_iterations": True, "objective": 0.5}], "trace[0]: expected"),
         ("trace", [{"d": 1.0, "inner_iterations": 3, "objective": None}], "trace[0]: expected"),
         ("trace", [7], "trace[0]: expected a JSON object"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "stop": "done"}],
+         "trace[0]: stop: expected one of tol, stall, max_iters"),
+        ("config", {"max_elements": 12}, "config: unknown field 'max_elements'"),
+        ("config", {"max_inner_iters": 0}, "config: max_inner_iters must be at least 1"),
     ])
     def test_malformed_result_fields_rejected(self, tmp_path, capsys, field, value, message):
         # each of these used to pass with "ok"
@@ -430,6 +434,32 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert f"error: {out}: {message}" in captured.err
         assert "ok:" not in captured.out
+
+    @pytest.mark.parametrize("forge, message", [
+        (lambda trace: trace[0].update(inner_iterations=999999),
+         "trace[0]: inner_iterations 999999 exceeds max_inner_iters 1000"),
+        (lambda trace: trace.insert(0, {"d": 7.0, "inner_iterations": 3, "objective": 0.5}),
+         "trace[0]: d 7.0 is not the schedule's 0.01"),
+        (lambda trace: trace[-1].update(d=-1.0), "trace[-1]: d -1.0 is not the schedule's"),
+        (lambda trace: trace[-1].update(objective=123456.0),
+         "trace[-1]: objective 123456.0 is not the converged solve's relaxed value"),
+        (lambda trace: trace[-1].update(stop="max_iters"),
+         "trace[-1]: stop 'max_iters' with"),
+    ], ids=["iterations-over-cap", "d-off-schedule", "negative-d", "last-objective",
+            "max-iters-under-cap"])
+    def test_forged_trace_fails(self, tmp_path, capsys, forge, message):
+        # solve cannot write any of these traces; the message names the
+        # file and the stage, also for a negative d that relaxed_value
+        # would otherwise reject as an unnamed penalty weight
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        forge(data["trace"])
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(out), str(inst_path)]) == 1
+        last = f"trace[{len(data['trace']) - 1}]"
+        assert capsys.readouterr().out.startswith(
+            f"{out}: {message.replace('trace[-1]', last)}")
 
     def test_missing_element_fails(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)

@@ -23,7 +23,8 @@ from fusematch import (
 )
 from fusematch import solver as solver_module
 from fusematch.relax import RelaxationData, relaxed_gradient, relaxed_objective
-from fusematch.solver import armijo_search, initialize, pgd_inner
+from fusematch.solver import (INNER_TOL, SETTLE, STOP_REASONS, armijo_search,
+                              initialize, pgd_inner)
 
 from conftest import qp_projection_oracle, random_instance
 
@@ -145,6 +146,92 @@ class TestInnerLoop:
         res = pgd_inner(initialize(inst, cfg), data, 1.0, cfg)
         assert res.point.min() >= 0.0
         assert res.point.sum(axis=1).max() <= 1.0 + 1e-12
+
+
+def quadratic_part(X, data, d):
+    # relaxed_objective at X >= 0 is its quadratic part minus the linear 2 d sum(X)
+    return relaxed_objective(X, data, d) + 2.0 * d * X.sum()
+
+
+def unit_step_reference(U, data, d):
+    """One iteration of pgd_inner before the spectral step, from U: the
+    unit-step direction from relaxed_gradient, and the exact step along it
+    from relaxed_objective.  The step's curvature is the quadratic part at D,
+    by polarization over D's positive and negative parts, as
+    relaxed_objective takes no negative argument; f(U + D) - f(U) - slope
+    would lose it to cancellation against f(U)."""
+    grad = relaxed_gradient(U, data, d)
+    direction = project(U - grad) - U
+    slope = float((grad * direction).sum())
+    if np.linalg.norm(direction) <= INNER_TOL * U.shape[0] or slope >= 0.0:
+        return U
+    pos, neg = np.maximum(direction, 0.0), np.maximum(-direction, 0.0)
+    curvature = (2.0 * quadratic_part(pos, data, d) + 2.0 * quadratic_part(neg, data, d)
+                 - quadratic_part(pos + neg, data, d))
+    alpha = 1.0 if curvature <= -0.5 * slope else -slope / (2.0 * curvature)
+    return U + alpha * direction
+
+
+class TestOneMatmulIteration:
+    def test_unit_steps_match_reference_step(self, rng):
+        # up to SETTLE iterations pgd_inner takes unit steps; each one, made
+        # from abar U kept up to date by abar D and the curvature algebra,
+        # must be the reference step from the same point.  Near stationarity
+        # the slope <grad, D> cancels, so gradients equal to rounding give
+        # steps equal to about 1e-6 of their length: hence the relative term
+        for _ in range(8):
+            inst = random_instance(rng)
+            data = build_relaxation(inst)
+            seed = int(rng.integers(2**31))
+            U0 = initialize(inst, SolverConfig(rng_seed=seed))
+            for d in (0.02, 0.5, 4.0):
+                points = [project(U0)] + [
+                    pgd_inner(U0, data, d, SolverConfig(max_inner_iters=k)).point
+                    for k in range(1, SETTLE + 1)]
+                for before, after in zip(points, points[1:]):
+                    expected = unit_step_reference(before, data, d)
+                    step = np.abs(expected - before).max()
+                    assert np.abs(after - expected).max() <= 1e-12 + 1e-6 * step
+
+    def test_lone_row_tail_takes_a_spectral_step(self):
+        # f(u) = d (u^2 - 2u): unit steps shrink 1 - u by 1 - 2d = 0.96 per
+        # iteration; once the support has settled, the spectral step length
+        # 1 / (2d) lands on u = 1
+        res = pgd_inner(np.array([[0.5]]), scalar_relaxation(), 0.02, SolverConfig())
+        assert abs(res.point[0, 0] - 1.0) <= 1e-12
+        assert res.iterations <= SETTLE + 2
+        assert res.stop == "tol"
+
+    def test_stage_objective_is_resynced(self, rng, monkeypatch):
+        # the tracked objective drifts by rounding; each StageRecord holds
+        # relaxed_objective at the point its stage returned
+        points = []
+
+        def recording(*args):
+            result = pgd_inner(*args)
+            points.append(result.point)
+            return result
+
+        monkeypatch.setattr(solver_module, "pgd_inner", recording)
+        for seed in range(4):
+            inst = random_instance(rng)
+            points.clear()
+            res = solve(inst, SolverConfig(rng_seed=seed))
+            assert len(points) == len(res.trace)
+            data = build_relaxation(inst)
+            for stage, point in zip(res.trace, points):
+                assert stage.objective == relaxed_objective(point, data, stage.d)
+
+    def test_stop_reasons(self, rng):
+        inst = random_instance(rng)
+        data = build_relaxation(inst)
+        cfg = SolverConfig(max_inner_iters=1)
+        capped = pgd_inner(initialize(inst, cfg), data, 0.5, cfg)
+        assert (capped.iterations, capped.stop) == (1, "max_iters")
+        done = pgd_inner(np.ones((1, 1)), scalar_relaxation(), 1.0, SolverConfig())
+        assert (done.iterations, done.stop) == (0, "tol")
+        res = solve(inst, SolverConfig(rng_seed=5))
+        assert {stage.stop for stage in res.trace} <= set(STOP_REASONS)
 
 
 class TestInitialize:
