@@ -119,32 +119,21 @@ def relaxed_gradient(U: np.ndarray, data: RelaxationData, d: float) -> np.ndarra
     U = _check_u(U, data.num_elements)
     if d < 0:
         raise ValueError("penalty weight must be nonnegative")
-    return _gradient(U, data.abar @ U, data, d)
+    row_sums = U.sum(axis=1)
+    set_sums = np.add.reduceat(U, data.set_offsets, axis=0)
+    return 2.0 * (data.abar @ U) + 2.0 * d * ((2.0 * row_sums - 1.0)[:, None] - 2.0 * U
+                                              + set_sums[data.set_index])
 
 
-def _gradient(U: np.ndarray, abar_u: np.ndarray, data: RelaxationData,
-              d: float) -> np.ndarray:
-    """``relaxed_gradient`` from a given abar U, whose product is the only
-    dense one: the penalty terms are row and per-set column sums."""
-    grad = 2.0 * abar_u
-    if d:
-        row_sums = U.sum(axis=1)
-        set_sums = np.add.reduceat(U, data.set_offsets, axis=0)
-        grad += 2.0 * d * ((2.0 * row_sums - 1.0)[:, None] - 2.0 * U
-                           + set_sums[data.set_index])
-    return grad
-
-
-def _curvature(D: np.ndarray, abar_d: np.ndarray, data: RelaxationData,
-               d: float) -> float:
-    """q in f(U + t D) = f(U) + t <grad, D> + t^2 q, the same at every U:
-    <D, abar D> + d (2 ||D 1||^2 - 2 ||D||^2 + ||C(D)||^2), the quadratic
-    part of ``relaxed_objective`` along D."""
-    row_sums = D.sum(axis=1)
-    set_sums = np.add.reduceat(D, data.set_offsets, axis=0)
-    penalty = (2.0 * float(row_sums @ row_sums) - 2.0 * float((D * D).sum())
-               + float((set_sums * set_sums).sum()))
-    return float((D * abar_d).sum()) + d * penalty
+def stage_matrix(data: RelaxationData, d: float) -> np.ndarray:
+    """M_d = abar + d (B - 2 I), B the same-set ones matrix, so that
+    ``relaxed_objective`` is <U, M_d U> + 2 d ||U 1||^2 - 2 d sum(U) on U >= 0.
+    Its gradient is then 2 M_d U + 2 d (2 r - 1) 1^T, and its curvature
+    along D is <D, M_d D> + 2 d ||D 1||^2: one dense product per direction."""
+    same_set = data.set_index[:, None] == data.set_index[None, :]
+    stage = data.abar + d * same_set
+    stage[np.diag_indices_from(stage)] -= 2.0 * d
+    return stage
 
 
 def frobenius_from_mats(U: np.ndarray, mats: np.ndarray) -> float:

@@ -3,9 +3,11 @@
 Rows of the iterate live in the capped simplex {x >= 0, sum(x) <= 1}.  Each
 continuation stage minimizes the relaxed objective of ``build_relaxation`` at
 a fixed penalty weight by projected gradient steps of exact length.  The
-objective is quadratic, so an inner iteration needs one dense product, abar
-D along its direction D: it gives the step's curvature, and abar U (hence
-the gradient) and the objective are kept up to date from it.  Once the
+objective is quadratic, and its quadratic part is one matrix per stage, M_d
+of ``stage_matrix``, plus the row sums; so an inner iteration needs one dense
+product, M_d D along its direction D: it gives the step's curvature, and
+M_d U (hence the gradient) and the objective are kept up to date from it,
+with the row sums.  Once the
 support of the iterate has settled, the projection takes a spectral step
 length instead of 1 (Barzilai & Borwein 1988; Birgin, Martinez & Raydan
 2000), so rows whose only curvature is the penalty's reach their vertex in
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts, feasibility_report
-# relaxed_gradient is not called (pgd_inner forms the gradient from abar U);
+# relaxed_gradient is not called (pgd_inner forms the gradient from M_d U);
 # perfbench/tracing.py rebinds it, and tests/test_perfbench_contract.py guards it
-from .relax import (RelaxationData, _curvature, _gradient,  # noqa: F401
-                    build_relaxation, frobenius_objective, relaxed_gradient,
-                    relaxed_objective)
+from .relax import (RelaxationData, build_relaxation,  # noqa: F401
+                    frobenius_objective, relaxed_gradient, relaxed_objective,
+                    stage_matrix)
 
 ARMIJO_SIGMA = 1e-4  # sufficient-decrease fraction of the model's slope
 STAGE_JITTER = 1e-3  # warm-start perturbation between continuation stages
@@ -85,7 +87,6 @@ class LineSearchResult:
     point: np.ndarray
     value: float
     accepted: bool
-    curvature: float
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,12 @@ class InnerResult:
 def project(U: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean projection onto {x >= 0, sum(x) <= 1}.
 
-    Negative entries are clamped; rows still above the cap get the standard
-    descending-sort simplex projection.  Output rows satisfy both
-    constraints exactly, so re-projection is an exact no-op.
+    Negative entries are clamped; a row whose sum is still above 1 is
+    lowered by the threshold tau = max_j (c_j - 1) / j over the prefix sums
+    c_j of its descending sort (Condat 2016) and clamped again.  tau is
+    clamped at 0, so a row above the cap only by rounding keeps its zeros.
+    Output rows satisfy both constraints exactly, so re-projection is an
+    exact no-op.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
@@ -109,29 +113,23 @@ def project(U: np.ndarray) -> np.ndarray:
     if not np.isfinite(U).all():
         raise ValueError("projection input must be finite")
     Y = np.maximum(U, 0.0)
-    sums = Y.sum(axis=1)
-    bad = np.flatnonzero(sums > 1.0)
-    if bad.size:
-        rows = Y[bad]
-        k = rows.shape[1]
-        sorted_desc = -np.sort(-rows, axis=1)
-        csum = np.cumsum(sorted_desc, axis=1)
-        counts = np.arange(1, k + 1)
-        positive = sorted_desc - (csum - 1.0) / counts > 0.0
-        rho = k - 1 - np.argmax(positive[:, ::-1], axis=1)
-        tau = (csum[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
-        rows = np.maximum(rows - tau[:, None], 0.0)
-        # float guard: shave ulp-level overshoot so the cap holds exactly
-        row_sums = rows.sum(axis=1)
-        for _ in range(100):
-            over = row_sums > 1.0
-            if not over.any():
-                break
-            rows[over] /= row_sums[over, None]
-            row_sums = rows.sum(axis=1)
-        else:
-            raise AssertionError("projection failed to settle under the row cap")
-        Y[bad] = rows
+    ascending = np.sort(Y, axis=1)
+    # past a row's last positive entry c_j stays put and (c_j - 1) / j falls
+    # or stays <= 0, so the prefixes up to the widest support give tau
+    width = np.count_nonzero(ascending.any(axis=0))
+    csum = np.cumsum(ascending[:, ::-1][:, :width], axis=1)
+    tau = ((csum - 1.0) / np.arange(1, width + 1)).max(axis=1, initial=0.0)
+    Y = np.maximum(Y - np.where(Y.sum(axis=1) > 1.0, tau, 0.0)[:, None], 0.0)
+    # float guard: shave ulp-level overshoot so the cap holds exactly
+    row_sums = Y.sum(axis=1)
+    for _ in range(100):
+        over = row_sums > 1.0
+        if not over.any():
+            break
+        Y[over] /= row_sums[over, None]
+        row_sums = Y.sum(axis=1)
+    else:
+        raise AssertionError("projection failed to settle under the row cap")
     return Y
 
 
@@ -143,77 +141,76 @@ def project_row(x: np.ndarray) -> np.ndarray:
     return project(x[None, :])[0]
 
 
-def armijo_search(U: np.ndarray, direction: np.ndarray, data: RelaxationData,
-                  d: float, *, f0: float, grad: np.ndarray,
-                  abar_d: np.ndarray | None = None) -> LineSearchResult:
+def armijo_search(U: np.ndarray, direction: np.ndarray, *, f0: float,
+                  grad: np.ndarray, curvature: float) -> LineSearchResult:
     """Exact step along a direction D from U, checked by the Armijo rule.
 
     D = project(U - s grad) - U for a step length s >= 1, so U + t D for t in
     [0, 1] is feasible without projecting.  f is quadratic, so f(U + t D) =
-    f0 + t g + t^2 q with g = <grad, D> and q from D and abar_d = abar D
-    (formed here when not given); the minimizing t in [0, 1] is 1 when
-    q <= -g / 2, else -g / (2 q), and the value there is f0 + t g + t^2 q.
-    The step is accepted when that value is <= f0 + ARMIJO_SIGMA t g; a D
-    that is no descent direction at float precision is not accepted, which
-    callers treat as stationarity.  ``curvature`` is q, or 0 without a step.
+    f0 + t g + t^2 q with g = <grad, D> and the given curvature q; the
+    minimizing t in [0, 1] is 1 when q <= -g / 2, else -g / (2 q), and the
+    value there is f0 + t g + t^2 q.  The step is accepted when that value
+    is <= f0 + ARMIJO_SIGMA t g; a D that is no descent direction at float
+    precision is not accepted, which callers treat as stationarity.
     """
-    slope = float((grad * direction).sum())
+    slope = float(np.vdot(grad, direction))
     if slope < 0.0:
-        if abar_d is None:
-            abar_d = data.abar @ direction
-        curvature = _curvature(direction, abar_d, data, d)
         alpha = 1.0
         if curvature > -0.5 * slope:
             alpha = -slope / (2.0 * curvature)
-        point = U + alpha * direction
         value = f0 + alpha * slope + alpha * alpha * curvature
         if value <= f0 + ARMIJO_SIGMA * alpha * slope:
-            return LineSearchResult(alpha=alpha, point=point, value=value,
-                                    accepted=True, curvature=curvature)
-    return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False,
-                            curvature=0.0)
+            return LineSearchResult(alpha=alpha, point=U + alpha * direction,
+                                    value=value, accepted=True)
+    return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False)
 
 
 def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
               config: SolverConfig) -> InnerResult:
     """Minimize the relaxed objective at fixed d from a feasible start.
 
-    Each iteration makes one dense product, abar D: abar U is updated by
-    t abar D, the gradient is formed from abar U and the O(m c) penalty
-    terms, and the objective is tracked as f + t g + t^2 q, then recomputed
-    with ``relaxed_objective`` where the stage returns.  The direction is
-    D = project(U - s grad) - U.  The step length s is 1 until the support
-    (U > 0) has not changed for SETTLE accepted iterations; from then on it
-    is the Barzilai-Borwein length <dU, dU> / <dU, d grad> of the last step,
-    which for the quadratic f is ||D||^2 / (2 q), clipped to [1, S_MAX] (S_MAX
-    when q <= 0).  A support change sets s back to 1.  The stage stops when
-    ||D|| <= INNER_TOL * m (``"tol"``; with s >= 1 no looser than the unit-
-    step test), when no step decreases the objective (``"stall"``), or after
-    config.max_inner_iters steps (``"max_iters"``).
+    Each iteration makes one dense product, M_d D with M_d the stage's
+    ``stage_matrix``: M_d U and the row sums r are updated by t M_d D and
+    t D 1, the gradient is 2 M_d U + 2 d (2 r - 1) 1^T, the step's curvature
+    is q = <D, M_d D> + 2 d ||D 1||^2, and the objective is tracked as
+    f + t g + t^2 q, then recomputed with ``relaxed_objective`` where the
+    stage returns.  The direction is D = project(U - s grad) - U.  The step
+    length s is 1 until the support (U > 0) has not changed for SETTLE
+    accepted iterations; from then on it is the Barzilai-Borwein length
+    <dU, dU> / <dU, d grad> of the last step, which for the quadratic f is
+    ||D||^2 / (2 q), clipped to [1, S_MAX] (S_MAX when q <= 0).  A support
+    change sets s back to 1.  The stage stops when ||D|| <= INNER_TOL * m
+    (``"tol"``; with s >= 1 no looser than the unit-step test), when no step
+    decreases the objective (``"stall"``), or after config.max_inner_iters
+    steps (``"max_iters"``).
     """
     U = project(np.asarray(U0, dtype=float))
     m = U.shape[0]
     tol = INNER_TOL * m
     value = relaxed_objective(U, data, d)
-    abar_u = data.abar @ U
+    stage = stage_matrix(data, d)
+    stage_u, row_sums = stage @ U, U.sum(axis=1)
     support, settled, step_length = U > 0.0, 0, 1.0
     iterations, stop = 0, "max_iters"
     for _ in range(config.max_inner_iters):
         if not np.isfinite(value):
             raise FloatingPointError("relaxed objective became non-finite")
-        grad = _gradient(U, abar_u, data, d)
+        grad = 2.0 * stage_u + (2.0 * d * (2.0 * row_sums - 1.0))[:, None]
         direction = project(U - step_length * grad) - U
         norm = float(np.linalg.norm(direction))
         if norm <= tol:
             stop = "tol"
             break
-        abar_d = data.abar @ direction
-        step = armijo_search(U, direction, data, d, f0=value, grad=grad, abar_d=abar_d)
+        stage_d, direction_sums = stage @ direction, direction.sum(axis=1)
+        curvature = (float(np.vdot(direction, stage_d))
+                     + 2.0 * d * float(direction_sums @ direction_sums))
+        step = armijo_search(U, direction, f0=value, grad=grad, curvature=curvature)
         if not step.accepted or step.value >= value:
             stop = "stall"  # no strictly decreasing step exists at float precision
             break
         U, value = step.point, step.value
-        abar_u = abar_u + step.alpha * abar_d
+        stage_u += step.alpha * stage_d
+        row_sums += step.alpha * direction_sums
         iterations += 1
         new_support = U > 0.0
         if np.array_equal(new_support, support):
@@ -223,8 +220,8 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
         step_length = 1.0
         if settled >= SETTLE:
             step_length = S_MAX
-            if step.curvature > 0.0:
-                step_length = min(max(norm * norm / (2.0 * step.curvature), 1.0), S_MAX)
+            if curvature > 0.0:
+                step_length = min(max(norm * norm / (2.0 * curvature), 1.0), S_MAX)
     return InnerResult(point=U, iterations=iterations,
                        objective=relaxed_objective(U, data, d), stop=stop)
 

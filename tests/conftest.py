@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fusematch import Assignment, Instance, SynthConfig, generate
+from fusematch import Assignment, Instance, SynthConfig, generate, relaxed_objective
 
 
 def qp_projection_oracle(y: np.ndarray) -> np.ndarray:
@@ -38,6 +38,19 @@ def qp_projection_oracle(y: np.ndarray) -> np.ndarray:
                 if dist < best_dist - 1e-15:
                     best, best_dist = x, dist
     return best
+
+
+def polarized_curvature(D: np.ndarray, data, d: float) -> float:
+    """q in f(U + t D) = f(U) + t <grad, D> + t^2 q, from relaxed_objective
+    alone: the quadratic part Q(X) = f(X) + 2 d sum(X) at D, by polarization
+    over D's positive and negative parts, as relaxed_objective takes no
+    negative argument; f(U + D) - f(U) - slope would lose it to cancellation
+    against f(U)."""
+    def quadratic_part(X):
+        return relaxed_objective(X, data, d) + 2.0 * d * X.sum()
+
+    pos, neg = np.maximum(D, 0.0), np.maximum(-D, 0.0)
+    return 2.0 * quadratic_part(pos) + 2.0 * quadratic_part(neg) - quadratic_part(pos + neg)
 
 
 def random_feasible_assignment(rng: np.random.Generator, set_sizes: tuple[int, ...]) -> Assignment:

@@ -17,10 +17,10 @@ from fusematch import (
     relaxed_gradient,
     relaxed_objective,
 )
-from fusematch.relax import _fuse, frobenius_from_mats
+from fusematch.relax import _fuse, frobenius_from_mats, stage_matrix
 from fusematch import build_modality_matrices
 
-from conftest import random_feasible_assignment, random_instance
+from conftest import polarized_curvature, random_feasible_assignment, random_instance
 
 
 def brute_force_frobenius(U: np.ndarray, instance: Instance) -> float:
@@ -225,6 +225,39 @@ class TestGradient:
         um[i, j] -= h
         fd = (relaxed_objective(up, data, 2.0) - relaxed_objective(um, data, 2.0)) / (2 * h)
         assert g[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+class TestStageMatrix:
+    """M_d = abar + d (B - 2 I) carries the whole quadratic part of the
+    relaxed objective: the solver's gradient and step curvature come from it
+    and the row sums alone."""
+
+    @staticmethod
+    def cases(rng):
+        for _ in range(10):
+            inst = random_instance(rng)
+            data = build_relaxation(inst)
+            m = inst.num_elements
+            assert len(inst.set_sizes) > 1
+            for d in (0.02, 0.5, 4.0):
+                for c in (m, max(1, m - 3)):
+                    yield data, d, rng.uniform(0.0, 0.6, size=(m, c))
+
+    def test_gradient_matches_relaxed_gradient(self, rng):
+        for data, d, U in self.cases(rng):
+            row_sums = U.sum(axis=1)
+            grad = 2.0 * stage_matrix(data, d) @ U + 2.0 * d * (2.0 * row_sums - 1.0)[:, None]
+            np.testing.assert_allclose(grad, relaxed_gradient(U, data, d),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_curvature_matches_polarization(self, rng):
+        for data, d, U in self.cases(rng):
+            D = U - rng.uniform(0.0, 0.6, size=U.shape)
+            row_sums = D.sum(axis=1)
+            curvature = (float(np.vdot(D, stage_matrix(data, d) @ D))
+                         + 2.0 * d * float(row_sums @ row_sums))
+            assert curvature == pytest.approx(polarized_curvature(D, data, d),
+                                              rel=1e-12, abs=1e-12)
 
 
 def _corpus():

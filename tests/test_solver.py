@@ -26,7 +26,7 @@ from fusematch.relax import RelaxationData, relaxed_gradient, relaxed_objective
 from fusematch.solver import (INNER_TOL, SETTLE, STOP_REASONS, armijo_search,
                               initialize, pgd_inner)
 
-from conftest import qp_projection_oracle, random_instance
+from conftest import polarized_curvature, qp_projection_oracle, random_instance
 
 
 def scalar_relaxation(abar: float = 0.0) -> RelaxationData:
@@ -64,13 +64,39 @@ class TestProjection:
         assert P.min() >= 0.0
         assert P.sum(axis=1).max() <= 1.0
 
-    def test_matches_qp_oracle(self, rng):
+    @pytest.mark.parametrize("low, high, positives", [(1, 7, None), (20, 60, 6)],
+                             ids=["narrow", "wide-sparse"])
+    def test_matches_qp_oracle(self, rng, low, high, positives):
+        # wide rows are mostly zero with a few positives, as the solver's are
+        # (a median of 2 positives per over-cap row at m = 52).  An entry
+        # y_i <= 0 is 0 at the optimum, since zeroing it keeps x feasible and
+        # brings it closer to y, so there the oracle runs on the positives
         for _ in range(300):
-            n = int(rng.integers(1, 8))
+            n = int(rng.integers(low, high + 1))
             y = rng.normal(0.0, 3.0, size=n)
-            np.testing.assert_allclose(
-                project_row(y), qp_projection_oracle(y), atol=1e-8
-            )
+            if positives is None:
+                want = qp_projection_oracle(y)
+            else:
+                y = np.where(rng.random(n) < 0.5, 0.0, -np.abs(y))
+                hot = rng.choice(n, size=int(rng.integers(1, positives + 1)),
+                                 replace=False)
+                y[hot] = rng.uniform(0.1, 1.2, size=hot.size)
+                want = np.zeros(n)
+                want[hot] = qp_projection_oracle(y[hot])
+            np.testing.assert_allclose(project_row(y), want, atol=1e-8)
+
+    def test_nonpositive_entries_stay_zero(self, rng):
+        # this row sums to 1.0000000000000002 pairwise, but its descending
+        # prefix sums never pass 1: the threshold must not go negative and
+        # lift the zero
+        row = np.array([[0.2, 0.4, 0.3, 0.1, 0.0]])
+        assert project(row)[0, 4] == 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            Y = rng.choice([-0.3, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4], size=(50, n))
+            P = project(Y)
+            assert not (P[Y <= 0.0] > 0.0).any()
+            assert P.sum(axis=1).max() <= 1.0
 
     def test_oracle_extremes(self):
         np.testing.assert_allclose(
@@ -85,8 +111,9 @@ class TestProjection:
 
 
 def search_at_d1(U, direction, data):
-    return armijo_search(U, direction, data, 1.0, f0=relaxed_objective(U, data, 1.0),
-                         grad=relaxed_gradient(U, data, 1.0))
+    return armijo_search(U, direction, f0=relaxed_objective(U, data, 1.0),
+                         grad=relaxed_gradient(U, data, 1.0),
+                         curvature=polarized_curvature(direction, data, 1.0))
 
 
 class TestArmijo:
@@ -148,26 +175,16 @@ class TestInnerLoop:
         assert res.point.sum(axis=1).max() <= 1.0 + 1e-12
 
 
-def quadratic_part(X, data, d):
-    # relaxed_objective at X >= 0 is its quadratic part minus the linear 2 d sum(X)
-    return relaxed_objective(X, data, d) + 2.0 * d * X.sum()
-
-
 def unit_step_reference(U, data, d):
     """One iteration of pgd_inner before the spectral step, from U: the
     unit-step direction from relaxed_gradient, and the exact step along it
-    from relaxed_objective.  The step's curvature is the quadratic part at D,
-    by polarization over D's positive and negative parts, as
-    relaxed_objective takes no negative argument; f(U + D) - f(U) - slope
-    would lose it to cancellation against f(U)."""
+    with the curvature polarized from relaxed_objective."""
     grad = relaxed_gradient(U, data, d)
     direction = project(U - grad) - U
     slope = float((grad * direction).sum())
     if np.linalg.norm(direction) <= INNER_TOL * U.shape[0] or slope >= 0.0:
         return U
-    pos, neg = np.maximum(direction, 0.0), np.maximum(-direction, 0.0)
-    curvature = (2.0 * quadratic_part(pos, data, d) + 2.0 * quadratic_part(neg, data, d)
-                 - quadratic_part(pos + neg, data, d))
+    curvature = polarized_curvature(direction, data, d)
     alpha = 1.0 if curvature <= -0.5 * slope else -slope / (2.0 * curvature)
     return U + alpha * direction
 
@@ -175,7 +192,7 @@ def unit_step_reference(U, data, d):
 class TestOneMatmulIteration:
     def test_unit_steps_match_reference_step(self, rng):
         # up to SETTLE iterations pgd_inner takes unit steps; each one, made
-        # from abar U kept up to date by abar D and the curvature algebra,
+        # from M_d U kept up to date by M_d D and the curvature algebra,
         # must be the reference step from the same point.  Near stationarity
         # the slope <grad, D> cancels, so gradients equal to rounding give
         # steps equal to about 1e-6 of their length: hence the relative term
