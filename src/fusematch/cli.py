@@ -55,7 +55,8 @@ NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 TRUTH_FIELDS = {"set_sizes", "labels"}
-TRACE_FIELDS = {"d", "inner_iterations", "objective"}   # and "stop", optional
+TRACE_FIELDS = {"d", "inner_iterations", "objective"}
+OPTIONAL_TRACE_FIELDS = {"stop", "merges"}   # older result files lack them
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 STAGE_RTOL = 1e-6  # check: a converged solve's last-stage objective vs its relaxed value
 
@@ -236,7 +237,8 @@ def result_payload(result: SolverResult, config: dict) -> dict:
         "frobenius_value": result.frobenius_value,
         "converged": result.converged,
         "trace": [{"d": s.d, "inner_iterations": s.inner_iterations,
-                   "objective": s.objective, "stop": s.stop} for s in result.trace],
+                   "objective": s.objective, "stop": s.stop, "merges": s.merges}
+                  for s in result.trace],
         "config": config,
     }
 
@@ -260,7 +262,8 @@ def read_result(path: str | Path) -> dict:
     if not isinstance(trace, list):
         raise FileFormatError(f"{path}: trace: expected a list")
     for i, stage in enumerate(trace):
-        _require_fields(stage, TRACE_FIELDS | {"stop"}, TRACE_FIELDS, f"{path}: trace[{i}]")
+        _require_fields(stage, TRACE_FIELDS | OPTIONAL_TRACE_FIELDS, TRACE_FIELDS,
+                        f"{path}: trace[{i}]")
         steps = stage["inner_iterations"]
         if (type(stage["d"]) not in NUMBER_TYPES or type(steps) is not int or steps < 0
                 or type(stage["objective"]) not in NUMBER_TYPES):
@@ -269,6 +272,10 @@ def read_result(path: str | Path) -> dict:
         if stage.get("stop", STOP_REASONS[0]) not in STOP_REASONS:
             raise FileFormatError(f"{path}: trace[{i}]: stop: expected one of "
                                   f"{', '.join(STOP_REASONS)}")
+        merges = stage.get("merges", 0)
+        if type(merges) is not int or merges < 0:
+            raise FileFormatError(f"{path}: trace[{i}]: merges: expected a nonnegative "
+                                  f"integer")
     if trace:   # a trace comes from solve, so config holds SolverConfig fields
         config = data.get("config", {})
         _require_fields(config, {f.name for f in fields(SolverConfig)}, set(),
@@ -287,12 +294,15 @@ def _agree(reported: float, value: float, rtol: float) -> bool:
 def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
     """The first stage of a solver trace that solve cannot have written:
     its d is off the schedule D_INIT K D_GROWTH^i, its inner iterations
-    exceed config.max_inner_iters, or its stop reason is "max_iters" while
-    they stay under that cap, or another reason while they reach it."""
+    exceed config.max_inner_iters, its stop reason is "max_iters" while
+    they stay under that cap, or another reason while they reach it, or it
+    merged more rows than its steps can: a merge follows an accepted step
+    and needs two private columns per merged row, so m // 2 rows a step."""
     trace = result.get("trace", [])
     if not trace:
         return None
     cap = SolverConfig(**result.get("config", {})).max_inner_iters
+    merges_per_step = instance.num_elements // 2
     d = D_INIT * instance.modality_count
     for i, stage in enumerate(trace):
         where = f"{path}: trace[{i}]"
@@ -304,6 +314,10 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
         if "stop" in stage and (stage["stop"] == "max_iters") != (steps == cap):
             return (f"{where}: stop {stage['stop']!r} with {steps} of "
                     f"max_inner_iters {cap} inner iterations")
+        merges = stage.get("merges", 0)
+        if merges > steps * merges_per_step:
+            return (f"{where}: merges {merges} with {steps} inner iterations, at most "
+                    f"{merges_per_step} a step")
         d *= D_GROWTH
     return None
 

@@ -11,7 +11,12 @@ with the row sums.  Once the
 support of the iterate has settled, the projection takes a spectral step
 length instead of 1 (Barzilai & Borwein 1988; Birgin, Martinez & Raydan
 2000), so rows whose only curvature is the penalty's reach their vertex in
-one step instead of shrinking geometrically.  The weight then grows
+one step instead of shrinking geometrically.  A row with no net attraction
+(an outlier) can spread its mass thinly over many columns no other row
+uses, an equal-spread ridge of the overlap penalty that gradient steps
+leave only slowly; after each step that changes the support, such a row
+moves all that mass into one of those columns, which lowers the objective
+in closed form, so the ridge ends inside the stage.  The weight then grows
 geometrically, warm-starting from the last iterate, until every entry sits
 within BINARY_TOL of {0, 1} and the rounded matrix is feasible.  Snapping
 is therefore not rounding a fractional solution.  If the weight cap is
@@ -61,15 +66,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: penalty weight, inner iterations, final value
-    and why the stage stopped: ``"tol"`` (the step fell under INNER_TOL per
+    """One continuation stage: penalty weight, inner iterations, final value,
+    why the stage stopped: ``"tol"`` (the step fell under INNER_TOL per
     element), ``"stall"`` (no step decreases the objective at float
-    precision) or ``"max_iters"`` (the iteration cap ran out)."""
+    precision) or ``"max_iters"`` (the iteration cap ran out), and how many
+    rows ``merge_private`` merged over the stage (a row merged after two
+    steps counts twice)."""
 
     d: float
     inner_iterations: int
     objective: float
     stop: str
+    merges: int
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,7 @@ class InnerResult:
     iterations: int
     objective: float
     stop: str
+    merges: int
 
 
 def project(U: np.ndarray) -> np.ndarray:
@@ -165,6 +174,34 @@ def armijo_search(U: np.ndarray, direction: np.ndarray, *, f0: float,
     return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False)
 
 
+def merge_private(U: np.ndarray, support: np.ndarray, stage: np.ndarray,
+                  stage_u: np.ndarray) -> tuple[int, float]:
+    """Merge each row's mass in its private columns into the first of them.
+
+    Column j is private to row i when i is the only row with mass in it
+    (``support`` is U > 0).  Every row with mass in two or more private
+    columns moves all of it into the lowest-indexed one.  Row sums and the
+    data term do not change (no other row meets those columns, and abar's
+    diagonal is 0), so the objective changes by -d (S^2 - sum u^2) <= 0 for
+    each merged row's private entries u summing to S.  U, ``support`` and
+    ``stage_u`` = M_d U are updated in place, the last by M_d[:, R] dU_R over
+    the merged rows R.  Returns |R| and the sum over R of S^2 - sum u^2.
+    """
+    private = support & (np.count_nonzero(support, axis=0) == 1)
+    rows = np.flatnonzero(np.count_nonzero(private, axis=1) >= 2)
+    if rows.size == 0:
+        return 0, 0.0
+    mask, old = private[rows], U[rows]
+    moved = np.where(mask, old, 0.0)
+    total = moved.sum(axis=1)
+    new = old - moved
+    new[np.arange(rows.size), mask.argmax(axis=1)] = total
+    stage_u += stage[:, rows] @ (new - old)
+    U[rows] = new
+    support[rows] = new > 0.0
+    return rows.size, float(total @ total - (moved * moved).sum())
+
+
 def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
               config: SolverConfig) -> InnerResult:
     """Minimize the relaxed objective at fixed d from a feasible start.
@@ -179,7 +216,12 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     accepted iterations; from then on it is the Barzilai-Borwein length
     <dU, dU> / <dU, d grad> of the last step, which for the quadratic f is
     ||D||^2 / (2 q), clipped to [1, S_MAX] (S_MAX when q <= 0).  A support
-    change sets s back to 1.  The stage stops when ||D|| <= INNER_TOL * m
+    change sets s back to 1.  After the first step and after every step
+    that changes the support, ``merge_private`` runs and updates M_d U, and
+    the objective falls by its closed-form gain.  Which columns are private
+    depends on the support alone, and a merge leaves every row at most one,
+    so a step that keeps the support has nothing to merge; a merge counts
+    as a change of support.  The stage stops when ||D|| <= INNER_TOL * m
     (``"tol"``; with s >= 1 no looser than the unit-step test), when no step
     decreases the objective (``"stall"``), or after config.max_inner_iters
     steps (``"max_iters"``).
@@ -191,7 +233,7 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     stage = stage_matrix(data, d)
     stage_u, row_sums = stage @ U, U.sum(axis=1)
     support, settled, step_length = U > 0.0, 0, 1.0
-    iterations, stop = 0, "max_iters"
+    iterations, merges, stop = 0, 0, "max_iters"
     for _ in range(config.max_inner_iters):
         if not np.isfinite(value):
             raise FloatingPointError("relaxed objective became non-finite")
@@ -213,17 +255,23 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
         row_sums += step.alpha * direction_sums
         iterations += 1
         new_support = U > 0.0
-        if np.array_equal(new_support, support):
+        if iterations > 1 and np.array_equal(new_support, support):
             settled += 1
         else:
-            support, settled = new_support, 0
+            merged, gain = merge_private(U, new_support, stage, stage_u)
+            value -= d * gain
+            merges += merged
+            if np.array_equal(new_support, support):
+                settled += 1
+            else:
+                support, settled = new_support, 0
         step_length = 1.0
         if settled >= SETTLE:
             step_length = S_MAX
             if curvature > 0.0:
                 step_length = min(max(norm * norm / (2.0 * curvature), 1.0), S_MAX)
     return InnerResult(point=U, iterations=iterations,
-                       objective=relaxed_objective(U, data, d), stop=stop)
+                       objective=relaxed_objective(U, data, d), stop=stop, merges=merges)
 
 
 def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
@@ -293,7 +341,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
         inner = pgd_inner(U, data, d, cfg)
         U = inner.point
         trace.append(StageRecord(d=d, inner_iterations=inner.iterations,
-                                 objective=inner.objective, stop=inner.stop))
+                                 objective=inner.objective, stop=inner.stop,
+                                 merges=inner.merges))
         rounded = np.rint(U)
         if (np.abs(U - rounded).max() <= BINARY_TOL
                 and feasibility_report(rounded, instance.set_sizes).feasible):
@@ -303,10 +352,14 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
         if d > d_max:
             cols, converged = _repair(U, data.abar, instance.set_sizes), False
             break
-        # Rows with no net attraction can settle on an equal-spread
-        # stationary ridge of the overlap penalty (row sum c/(2c-1) over c
-        # columns) that persists at every d.  A seeded kick at the stage
-        # boundary breaks the symmetry; concentration then amplifies it.
+        # pgd_inner's merge ends the equal-spread ridge of rows with no net
+        # attraction inside a stage, but not a saddle on shared columns: two
+        # rows that mirror each other under swapping them and their two
+        # columns stay put, since the unstable direction has a zero
+        # component.  A seeded kick at the stage boundary breaks the
+        # symmetry; concentration then amplifies it.  Without the kick, 3 of
+        # the 618 paper-small and solve-mid benchmark solves (chunks 0-2,
+        # seeds 1 and 14990) end in the repair.
         U = project(U + STAGE_JITTER * jitter_rng.random(U.shape))
     assignment = Assignment(cols.tolist(), instance.set_sizes)
     relaxed_value = relaxed_objective(assignment.entries, data, trace[-1].d)

@@ -423,6 +423,12 @@ class TestCheckCommand:
          "trace[0]: stop: expected one of tol, stall, max_iters"),
         ("config", {"max_elements": 12}, "config: unknown field 'max_elements'"),
         ("config", {"max_inner_iters": 0}, "config: max_inner_iters must be at least 1"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": -1}],
+         "trace[0]: merges: expected a nonnegative integer"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": 1.0}],
+         "trace[0]: merges: expected a nonnegative integer"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": True}],
+         "trace[0]: merges: expected a nonnegative integer"),
     ])
     def test_malformed_result_fields_rejected(self, tmp_path, capsys, field, value, message):
         # each of these used to pass with "ok"
@@ -445,8 +451,12 @@ class TestCheckCommand:
          "trace[-1]: objective 123456.0 is not the converged solve's relaxed value"),
         (lambda trace: trace[-1].update(stop="max_iters"),
          "trace[-1]: stop 'max_iters' with"),
+        (lambda trace: trace[0].update(inner_iterations=0, merges=1),
+         "trace[0]: merges 1 with 0 inner iterations"),
+        (lambda trace: trace[0].update(inner_iterations=2, merges=9),
+         "trace[0]: merges 9 with 2 inner iterations, at most 4 a step"),
     ], ids=["iterations-over-cap", "d-off-schedule", "negative-d", "last-objective",
-            "max-iters-under-cap"])
+            "max-iters-under-cap", "merges-without-steps", "merges-over-rows"])
     def test_forged_trace_fails(self, tmp_path, capsys, forge, message):
         # solve cannot write any of these traces; the message names the
         # file and the stage, also for a negative d that relaxed_value
@@ -460,6 +470,14 @@ class TestCheckCommand:
         last = f"trace[{len(data['trace']) - 1}]"
         assert capsys.readouterr().out.startswith(
             f"{out}: {message.replace('trace[-1]', last)}")
+
+    def test_trace_without_merges_passes(self, tmp_path, capsys):
+        # result files written before the merge count existed still check
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        assert all(stage.pop("merges") >= 0 for stage in data["trace"])
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), str(inst_path)]) == 0
 
     def test_missing_element_fails(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)

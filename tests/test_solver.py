@@ -1,4 +1,5 @@
-"""Projection, line search, inner descent loop, and the continuation driver."""
+"""Projection, line search, inner descent loop, private-column merge, and the
+continuation driver."""
 
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from fusematch import (
     solve,
 )
 from fusematch import solver as solver_module
-from fusematch.relax import RelaxationData, relaxed_gradient, relaxed_objective
+from fusematch.relax import (RelaxationData, relaxed_gradient, relaxed_objective,
+                            stage_matrix)
 from fusematch.solver import (INNER_TOL, SETTLE, STOP_REASONS, armijo_search,
-                              initialize, pgd_inner)
+                              initialize, merge_private, pgd_inner)
 
 from conftest import polarized_curvature, qp_projection_oracle, random_instance
 
@@ -175,10 +177,25 @@ class TestInnerLoop:
         assert res.point.sum(axis=1).max() <= 1.0 + 1e-12
 
 
+def merge_reference(U):
+    """The private-column merge, row by row: column j is private to row i
+    when row i is the only row with mass in it, and a row with mass in two
+    or more private columns moves it all into the first of them."""
+    U = U.copy()
+    owners = [np.flatnonzero(U[:, j] > 0.0) for j in range(U.shape[1])]
+    for i in range(U.shape[0]):
+        private = [j for j, rows in enumerate(owners) if list(rows) == [i]]
+        if len(private) >= 2:
+            U[i, private[0]] = sum(U[i, j] for j in private)
+            U[i, private[1:]] = 0.0
+    return U
+
+
 def unit_step_reference(U, data, d):
     """One iteration of pgd_inner before the spectral step, from U: the
-    unit-step direction from relaxed_gradient, and the exact step along it
-    with the curvature polarized from relaxed_objective."""
+    unit-step direction from relaxed_gradient, the exact step along it with
+    the curvature polarized from relaxed_objective, then the private-column
+    merge."""
     grad = relaxed_gradient(U, data, d)
     direction = project(U - grad) - U
     slope = float((grad * direction).sum())
@@ -186,7 +203,7 @@ def unit_step_reference(U, data, d):
         return U
     curvature = polarized_curvature(direction, data, d)
     alpha = 1.0 if curvature <= -0.5 * slope else -slope / (2.0 * curvature)
-    return U + alpha * direction
+    return merge_reference(U + alpha * direction)
 
 
 class TestOneMatmulIteration:
@@ -249,6 +266,75 @@ class TestOneMatmulIteration:
         assert (done.iterations, done.stop) == (0, "tol")
         res = solve(inst, SolverConfig(rng_seed=5))
         assert {stage.stop for stage in res.trace} <= set(STOP_REASONS)
+
+
+def data_term(U, data):
+    return float(((U @ U.T) * data.abar).sum())
+
+
+class TestPrivateColumnMerge:
+    def test_outlier_ridge_ends_inside_one_stage(self):
+        # a size-ladder instance at m = 202 whose two outlier rows used to
+        # ride the equal-spread ridge through 8 stages and 825 iterations
+        inst, _ = generate(SynthConfig(universe_size=40, num_sets=5, modality_count=2,
+                                       noise_sigma=0.15, inconclusive_rate=0.15,
+                                       flip_rate=0.05, outliers_per_run=2, rng_seed=3))
+        res = solve(inst, SolverConfig(rng_seed=0))
+        assert res.converged
+        assert len(res.trace) == 1
+        assert res.trace[0].inner_iterations <= 50
+        assert res.trace[0].merges > 0
+
+    def test_merge_keeps_row_sums_and_data_term_property(self, rng):
+        # random sparse iterates: each merge keeps the row sums and the data
+        # term, lowers the objective by exactly d times the reported gain,
+        # keeps M_d U current and leaves every row at most one private column
+        merged_total = 0
+        for _ in range(200):
+            inst = random_instance(rng, max_universe=5, max_sets=5)
+            data = build_relaxation(inst)
+            m = inst.num_elements
+            d = float(rng.choice([0.02, 0.5, 4.0]))
+            U = project(rng.random((m, m)) * (rng.random((m, m)) < rng.uniform(0.1, 0.5)))
+            stage = stage_matrix(data, d)
+            after, support, stage_u = U.copy(), U > 0.0, stage @ U
+            merged, gain = merge_private(after, support, stage, stage_u)
+            merged_total += merged
+            np.testing.assert_array_equal(support, after > 0.0)
+            np.testing.assert_allclose(after.sum(axis=1), U.sum(axis=1), rtol=0, atol=1e-12)
+            assert data_term(after, data) == pytest.approx(data_term(U, data), abs=1e-12)
+            before_value = relaxed_objective(U, data, d)
+            after_value = relaxed_objective(after, data, d)
+            assert gain >= 0.0
+            assert after_value <= before_value + 1e-12
+            assert after_value == pytest.approx(before_value - d * gain, abs=1e-12)
+            assert np.abs(stage_u - stage @ after).max() <= 1e-12
+            owners = np.count_nonzero(support, axis=0)
+            assert np.count_nonzero(support & (owners == 1), axis=1).max(initial=0) <= 1
+        assert merged_total > 0
+
+    def test_stage_keeps_stage_product_current(self, rng, monkeypatch):
+        # merge_private updates pgd_inner's M_d U in place; after a stage with
+        # merges it must still be stage_matrix(data, d) @ U
+        held = []
+
+        def holding(U, support, stage, stage_u):
+            held.append(stage_u)
+            return merge_private(U, support, stage, stage_u)
+
+        monkeypatch.setattr(solver_module, "merge_private", holding)
+        stages = 0
+        for _ in range(30):
+            inst = random_instance(rng, max_universe=6, max_sets=5)
+            data = build_relaxation(inst)
+            U0 = initialize(inst, SolverConfig(rng_seed=int(rng.integers(2**31))))
+            for d in (0.02, 0.5, 4.0):
+                held.clear()
+                res = pgd_inner(U0, data, d, SolverConfig())
+                if res.merges:
+                    stages += 1
+                    assert np.abs(held[-1] - stage_matrix(data, d) @ res.point).max() <= 1e-12
+        assert stages > 0
 
 
 class TestInitialize:
