@@ -45,7 +45,7 @@ from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F40
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
 from .relax import build_relaxation, frobenius_objective, relaxed_objective
 from .solver import (D_GROWTH, D_INIT, STOP_REASONS, SolverConfig, SolverResult,
-                     solve)
+                     StageRecord, solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
@@ -55,8 +55,9 @@ NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 TRUTH_FIELDS = {"set_sizes", "labels"}
+# required in a trace entry; StageRecord's other fields are optional, since
+# older result files lack them
 TRACE_FIELDS = {"d", "inner_iterations", "objective"}
-OPTIONAL_TRACE_FIELDS = {"stop", "merges"}   # older result files lack them
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 STAGE_RTOL = 1e-6  # check: a converged solve's last-stage objective vs its relaxed value
 
@@ -236,9 +237,7 @@ def result_payload(result: SolverResult, config: dict) -> dict:
         "relaxed_value": result.relaxed_value,
         "frobenius_value": result.frobenius_value,
         "converged": result.converged,
-        "trace": [{"d": s.d, "inner_iterations": s.inner_iterations,
-                   "objective": s.objective, "stop": s.stop, "merges": s.merges}
-                  for s in result.trace],
+        "trace": [asdict(stage) for stage in result.trace],
         "config": config,
     }
 
@@ -262,7 +261,7 @@ def read_result(path: str | Path) -> dict:
     if not isinstance(trace, list):
         raise FileFormatError(f"{path}: trace: expected a list")
     for i, stage in enumerate(trace):
-        _require_fields(stage, TRACE_FIELDS | OPTIONAL_TRACE_FIELDS, TRACE_FIELDS,
+        _require_fields(stage, {f.name for f in fields(StageRecord)}, TRACE_FIELDS,
                         f"{path}: trace[{i}]")
         steps = stage["inner_iterations"]
         if (type(stage["d"]) not in NUMBER_TYPES or type(steps) is not int or steps < 0

@@ -37,16 +37,33 @@ def _value_eq(self, other: object) -> bool:
                             for f in fields(self)))
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a bool: int() would turn 1.5 into 1
+    and True into 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_counts(config: object, **minimums: int) -> None:
     """Each named config field must be an integer no less than its minimum;
     the ValueError names the field.  A float would fail later, deep inside
     numpy, and a bool would pass for 0 or 1."""
     for name, minimum in minimums.items():
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be at least {minimum}")
+
+
+def _check_sizes(set_sizes: Sequence[int],
+                 error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """``set_sizes`` as a tuple of ints; raises ``error`` unless it lists at
+    least one set and every size is an integer of at least 1."""
+    sizes = tuple(set_sizes)
+    if not sizes or not all(_is_integer(s) and s >= 1 for s in sizes):
+        raise error(f"set_sizes must be a nonempty list of positive integers, "
+                    f"got {set_sizes!r}")
+    return tuple(int(s) for s in sizes)
 
 
 class InvalidInstanceError(ValueError):
@@ -77,12 +94,12 @@ class Instance:
     scores: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.set_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise InvalidInstanceError("set_sizes must be a nonempty list of positive integers")
-        count = int(self.modality_count)
-        if count < 1:
-            raise InvalidInstanceError("modality_count must be at least 1")
+        sizes = _check_sizes(self.set_sizes, InvalidInstanceError)
+        count = self.modality_count
+        if not _is_integer(count) or count < 1:
+            raise InvalidInstanceError(
+                f"modality_count must be an integer of at least 1, got {count!r}")
+        count = int(count)
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "modality_count", count)
         pairs, scores = np.asarray(self.pairs), np.asarray(self.scores)
@@ -203,9 +220,7 @@ class FeasibilityReport:
 def feasibility_report(entries: np.ndarray, set_sizes: Sequence[int]) -> FeasibilityReport:
     """Check the one-to-one and distinctness constraints of a binary matrix."""
     U = np.asarray(entries)
-    sizes = tuple(int(s) for s in set_sizes)
-    if not sizes or any(s < 1 for s in sizes):   # reduceat needs increasing offsets
-        raise ValueError("set_sizes must be positive")
+    sizes = _check_sizes(set_sizes)   # reduceat needs increasing offsets
     m = sum(sizes)
     if U.ndim != 2 or U.shape[0] != m:
         raise ValueError(f"expected a matrix with {m} rows, got shape {U.shape}")
@@ -247,9 +262,7 @@ class Assignment:
     set_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.set_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("set_sizes must be positive")
+        sizes = _check_sizes(self.set_sizes)
         labels = canonical_labels(self.labels)
         if len(labels) != sum(sizes):
             raise ValueError(
@@ -299,9 +312,7 @@ class PairwiseTable:
     match: np.ndarray
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.set_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("set_sizes must be positive")
+        sizes = _check_sizes(self.set_sizes)
         m = sum(sizes)
         raw = np.asarray(self.match)
         if raw.shape != (m, m):

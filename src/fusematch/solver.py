@@ -39,7 +39,6 @@ from .relax import (RelaxationData, build_relaxation,  # noqa: F401
                     frobenius_objective, relaxed_gradient, relaxed_objective,
                     stage_matrix)
 
-ARMIJO_SIGMA = 1e-4  # sufficient-decrease fraction of the model's slope
 STAGE_JITTER = 1e-3  # warm-start perturbation between continuation stages
 D_INIT = 0.01  # first stage's penalty weight, per modality
 D_GROWTH = 2.0  # penalty weight factor from one stage to the next
@@ -152,15 +151,17 @@ def project_row(x: np.ndarray) -> np.ndarray:
 
 def armijo_search(U: np.ndarray, direction: np.ndarray, *, f0: float,
                   grad: np.ndarray, curvature: float) -> LineSearchResult:
-    """Exact step along a direction D from U, checked by the Armijo rule.
+    """Exact step along a direction D from U.
 
     D = project(U - s grad) - U for a step length s >= 1, so U + t D for t in
     [0, 1] is feasible without projecting.  f is quadratic, so f(U + t D) =
     f0 + t g + t^2 q with g = <grad, D> and the given curvature q; the
-    minimizing t in [0, 1] is 1 when q <= -g / 2, else -g / (2 q), and the
-    value there is f0 + t g + t^2 q.  The step is accepted when that value
-    is <= f0 + ARMIJO_SIGMA t g; a D that is no descent direction at float
-    precision is not accepted, which callers treat as stationarity.
+    minimizing t in [0, 1] is 1 when q <= -g / 2, else -g / (2 q).  The step
+    is accepted when g < 0 and the value there, f0 + t g + t^2 q, is below
+    f0.  It needs no Armijo constant: t = -g / (2 q) gives f = f0 + t g / 2,
+    and t = 1 needs q <= -g / 2, so f <= f0 + t g / 2 always holds.  A D
+    that is no descent direction, or whose step does not lower f at float
+    precision, is not accepted, which callers treat as stationarity.
     """
     slope = float(np.vdot(grad, direction))
     if slope < 0.0:
@@ -168,7 +169,7 @@ def armijo_search(U: np.ndarray, direction: np.ndarray, *, f0: float,
         if curvature > -0.5 * slope:
             alpha = -slope / (2.0 * curvature)
         value = f0 + alpha * slope + alpha * alpha * curvature
-        if value <= f0 + ARMIJO_SIGMA * alpha * slope:
+        if value < f0:
             return LineSearchResult(alpha=alpha, point=U + alpha * direction,
                                     value=value, accepted=True)
     return LineSearchResult(alpha=0.0, point=U, value=f0, accepted=False)
@@ -220,11 +221,12 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     that changes the support, ``merge_private`` runs and updates M_d U, and
     the objective falls by its closed-form gain.  Which columns are private
     depends on the support alone, and a merge leaves every row at most one,
-    so a step that keeps the support has nothing to merge; a merge counts
-    as a change of support.  The stage stops when ||D|| <= INNER_TOL * m
-    (``"tol"``; with s >= 1 no looser than the unit-step test), when no step
-    decreases the objective (``"stall"``), or after config.max_inner_iters
-    steps (``"max_iters"``).
+    so a step that keeps the support has nothing to merge.  Each step
+    compares the support with the last one once, and again only after a
+    merge, which may change it.  The stage stops when ||D|| <= INNER_TOL * m
+    (``"tol"``; with s >= 1 no looser than the unit-step test), when
+    ``armijo_search`` accepts no step (``"stall"``), or after
+    config.max_inner_iters steps (``"max_iters"``).
     """
     U = project(np.asarray(U0, dtype=float))
     m = U.shape[0]
@@ -247,24 +249,25 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
         curvature = (float(np.vdot(direction, stage_d))
                      + 2.0 * d * float(direction_sums @ direction_sums))
         step = armijo_search(U, direction, f0=value, grad=grad, curvature=curvature)
-        if not step.accepted or step.value >= value:
-            stop = "stall"  # no strictly decreasing step exists at float precision
+        if not step.accepted:
+            stop = "stall"
             break
         U, value = step.point, step.value
         stage_u += step.alpha * stage_d
         row_sums += step.alpha * direction_sums
         iterations += 1
         new_support = U > 0.0
-        if iterations > 1 and np.array_equal(new_support, support):
-            settled += 1
-        else:
+        same = np.array_equal(new_support, support)
+        if iterations == 1 or not same:
             merged, gain = merge_private(U, new_support, stage, stage_u)
             value -= d * gain
             merges += merged
-            if np.array_equal(new_support, support):
-                settled += 1
-            else:
-                support, settled = new_support, 0
+            if merged:
+                same = np.array_equal(new_support, support)
+        if same:
+            settled += 1
+        else:
+            support, settled = new_support, 0
         step_length = 1.0
         if settled >= SETTLE:
             step_length = S_MAX
@@ -285,42 +288,29 @@ def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
     return project(0.5 * np.eye(m) + 1e-3 * rng.random((m, m)))
 
 
-def _repair(U: np.ndarray, abar: np.ndarray, set_sizes: tuple[int, ...]) -> np.ndarray:
+def _repair(U: np.ndarray, abar: np.ndarray, set_index: np.ndarray) -> np.ndarray:
     """Feasible column per row, a fallback for a fractional iterate.
 
-    Each row takes its largest entry's column; within a set, rows colliding
-    on a column are reassigned one by one to the free column with the
-    smallest data-term increase.  Ties go to the lowest column index.
+    Each row takes its largest entry's column.  Within a set, of the rows
+    claiming one column the one with the largest entry there keeps it
+    (lowest row on ties); the others, taken by set, then claimed column,
+    then row, each move to the column with the smallest data-term increase
+    2 sum_b abar[row, b] over the rows b it holds, among the columns no
+    other row of their set holds.  Ties go to the lowest column index.
     """
     m = U.shape[0]
+    rows = np.arange(m)
     cols = np.argmax(U, axis=1)  # argmax takes the lowest index on ties
-    members: dict[int, list[int]] = {}
-    for row, c in enumerate(cols):
-        members.setdefault(int(c), []).append(row)
-    offset = 0
-    for size in set_sizes:
-        block_rows = range(offset, offset + size)
-        claimed: dict[int, list[int]] = {}
-        for row in block_rows:
-            claimed.setdefault(int(cols[row]), []).append(row)
-        for col in sorted(c for c, rows in claimed.items() if len(rows) > 1):
-            rows = claimed[col]
-            keep = max(rows, key=lambda r: (U[r, col], -r))
-            for row in rows:
-                if row == keep:
-                    continue
-                members[col].remove(row)
-                forbidden = {int(cols[r]) for r in block_rows if r != row}
-                best_col, best_delta = -1, np.inf
-                for c in range(m):
-                    if c in forbidden:
-                        continue
-                    delta = 2.0 * sum(abar[row, b] for b in members.get(c, ()))
-                    if delta < best_delta:
-                        best_col, best_delta = c, delta
-                cols[row] = best_col
-                members.setdefault(best_col, []).append(row)
-        offset += size
+    claim = set_index * m + cols
+    # each claim's rows, largest entry first and lowest row on ties; all but
+    # the first are displaced
+    order = np.lexsort((rows, -U[rows, cols], claim))
+    displaced = order[1:][claim[order[1:]] == claim[order[:-1]]]
+    for row in displaced[np.lexsort((displaced, claim[displaced]))]:
+        held = np.zeros(m, dtype=bool)
+        held[cols[set_index == set_index[row]]] = True
+        increase = 2.0 * np.bincount(cols, weights=abar[row], minlength=m)
+        cols[row] = np.argmin(np.where(held, np.inf, increase))
     return cols
 
 
@@ -350,7 +340,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
             break
         d *= D_GROWTH
         if d > d_max:
-            cols, converged = _repair(U, data.abar, instance.set_sizes), False
+            cols, converged = _repair(U, data.abar, data.set_index), False
             break
         # pgd_inner's merge ends the equal-spread ridge of rows with no net
         # attraction inside a stage, but not a saddle on shared columns: two

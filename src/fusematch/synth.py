@@ -51,7 +51,9 @@ class SynthConfig:
                       outliers_per_run=0, rng_seed=0)
         if not 0 < self.observe_prob <= 1:
             raise ValueError("observe_prob must lie in (0, 1]")
-        if self.noise_sigma < 0:
+        # every range test fails on NaN, which generate's > 0 guards would
+        # read as 0
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be nonnegative")
         if not 0 <= self.inconclusive_rate <= 1:
             raise ValueError("inconclusive_rate must lie in [0, 1]")
@@ -64,7 +66,7 @@ class SynthConfig:
             values = tuple(float(x) for x in raw)
             if len(values) != self.modality_count:
                 raise ValueError(f"{name} must list one value per modality")
-            if any(x < 0 or (name != "sigma_per_modality" and x > 1) for x in values):
+            if not all(x >= 0 and (name == "sigma_per_modality" or x <= 1) for x in values):
                 raise ValueError(f"{name} values out of range")
             object.__setattr__(self, name, values)
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import fusematch.cli
-from fusematch import SynthConfig, generate
+from fusematch import SolverConfig, StageRecord, SynthConfig, generate, solve
 from fusematch.cli import (
     FileFormatError,
     main,
@@ -248,6 +248,18 @@ class TestSolveCommand:
         # the truth is checked before solving: nothing printed, no result file
         assert captured.out == ""
         assert not out.exists()
+
+    def test_trace_entries_are_stage_records(self, instance_file, tmp_path):
+        # each trace entry holds StageRecord's fields, in their order, with
+        # the values solve returned
+        inst_path, _, instance, _ = instance_file
+        out = tmp_path / "result.json"
+        assert main(["solve", str(inst_path), "--out", str(out), "--seed", "7"]) == 0
+        trace = json.loads(out.read_text())["trace"]
+        stages = solve(instance, SolverConfig(rng_seed=7)).trace
+        assert [list(entry) for entry in trace] == [[f.name for f in fields(StageRecord)]
+                                                    for _ in stages]
+        assert tuple(StageRecord(**entry) for entry in trace) == stages
 
     def test_reruns_byte_identical(self, instance_file, tmp_path):
         inst_path, _, _, _ = instance_file

@@ -89,6 +89,21 @@ class TestInstance:
         with pytest.raises(InvalidInstanceError):
             make_instance(pairs=[(0.0, 1.0)], scores=[(0.9,)])
 
+    @pytest.mark.parametrize("set_sizes, modality_count, field", [
+        ((1.5, 2), 1, "set_sizes"), ((True, 2), 1, "set_sizes"), ((2.0, 1), 1, "set_sizes"),
+        ((2, 2), 1.9, "modality_count"), ((2, 2), True, "modality_count")])
+    def test_non_integer_counts_rejected(self, set_sizes, modality_count, field):
+        # int() used to turn (1.5, 2) and 1.9 into a 3-element instance with
+        # K = 1, and True into 1
+        with pytest.raises(InvalidInstanceError, match=field):
+            make_instance(set_sizes=set_sizes, modality_count=modality_count)
+
+    def test_numpy_integer_counts_accepted(self):
+        inst = make_instance(set_sizes=np.array([2, 1], dtype=np.int32),
+                             modality_count=np.int64(2))
+        assert inst.set_sizes == (2, 1) and inst.modality_count == 2
+        assert all(type(x) is int for x in (*inst.set_sizes, inst.modality_count))
+
     def test_canonical_arrays(self):
         # rows sorted by (a, b) with a < b, repeats merged, defaults dropped
         inst = make_instance(set_sizes=(2, 2), modality_count=2,
@@ -193,7 +208,7 @@ class TestFeasibility:
         assert report.column_violations == ((0, 1), (0, 2), (1, 0))
         assert report.row_violations == (0, 1)
 
-    @pytest.mark.parametrize("sizes", [(), (2, 0)])
+    @pytest.mark.parametrize("sizes", [(), (2, 0), (1.5, 0.5), (True, True)])
     def test_nonpositive_set_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="set_sizes"):
             feasibility_report(np.eye(2), sizes)
@@ -228,6 +243,8 @@ class TestAssignment:
         ([0, 1, 2], (2, 2), "expected 4 labels"),
         ([0, 1], (), "set_sizes"),
         ([0, 1], (2, 0), "set_sizes"),
+        ([0, 1], (1.5, 0.5), "set_sizes"),
+        ([0, 1], (True, 1), "set_sizes"),
     ])
     def test_wrong_length_or_set_sizes_rejected(self, labels, sizes, message):
         with pytest.raises(ValueError, match=message) as info:
@@ -293,6 +310,11 @@ class TestPairwiseTable:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="3-by-3"):
             PairwiseTable(set_sizes=(1, 1, 1), match=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("sizes", [(1.5, 0.5), (True, 1)])
+    def test_rejects_non_integer_set_sizes(self, sizes):
+        with pytest.raises(ValueError, match="set_sizes"):
+            PairwiseTable(set_sizes=sizes, match=np.zeros((2, 2)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

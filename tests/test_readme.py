@@ -1,4 +1,5 @@
-"""README examples run as documented: the Python blocks and the CLI demo."""
+"""README examples run as documented: the Python blocks, the CLI demo and
+the solver constants the text states."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
+from fusematch import solver
 from fusematch.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -61,3 +63,23 @@ def test_cli_demo(tmp_path, monkeypatch, capsys):
             assert printed[-1].startswith("ok:")
     (_, solve_output), = [s for s in steps if s[0][0] == "solve"]
     assert solve_output[0] == "converged=True clusters=5 frobenius=1.13019 relaxed=-43.1105"
+
+
+NUMBER = r"([0-9][0-9.e+-]*)"
+STATED_CONSTANTS = {   # how the README states each solver constant
+    "D_INIT": rf"starts at {NUMBER} per modality",
+    "D_MAX": rf"up to {NUMBER} per modality",
+    "INNER_TOL": rf"norm at most {NUMBER} per element",
+    "BINARY_TOL": rf"within {NUMBER} of \{{0, 1\}}",
+    "SETTLE": rf"`SETTLE` = {NUMBER}",
+    "S_MAX": rf"`S_MAX` = {NUMBER}",
+}
+
+
+def test_stated_solver_constants_match_the_code():
+    text = " ".join(README.split())   # statements may wrap across lines
+    for name, pattern in STATED_CONSTANTS.items():
+        assert {float(v) for v in re.findall(pattern, text)} == {getattr(solver, name)}, name
+    assert "doubles each stage" in text and solver.D_GROWTH == 2.0
+    iters = {int(v) for v in re.findall(r"`max_inner_iters` \((\d+)\)", text)}
+    assert iters == {solver.SolverConfig().max_inner_iters}

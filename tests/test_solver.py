@@ -1,5 +1,5 @@
-"""Projection, line search, inner descent loop, private-column merge, and the
-continuation driver."""
+"""Projection, exact step, inner descent loop, private-column merge, repair
+and the continuation driver."""
 
 from __future__ import annotations
 
@@ -150,6 +150,33 @@ class TestArmijo:
         res = search_at_d1(U, np.zeros((1, 1)), data)
         assert not res.accepted
         assert res.point is U
+
+    def test_exact_step_decreases_by_half_the_slope(self, rng):
+        # the exact step along f0 + t g + t^2 q needs no Armijo constant:
+        # t = -g / (2 q) gives f0 + t g / 2, and t = 1 needs q <= -g / 2, so
+        # every accepted step meets f <= f0 + t g / 2 (up to the rounding of f)
+        U = np.zeros((1, 1))
+        for _ in range(2000):
+            f0 = float(rng.normal(0.0, 10.0))
+            slope = -10.0 ** rng.uniform(-3.0, 2.0)
+            curvature = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-3.0, 3.0)
+            res = armijo_search(U, np.ones((1, 1)), f0=f0, grad=np.array([[slope]]),
+                                curvature=curvature)
+            assert res.accepted
+            assert 0.0 < res.alpha <= 1.0
+            step = res.alpha * slope
+            assert res.value <= f0 + 0.5 * step + 1e-12 * (abs(f0) + abs(step))
+            assert res.point[0, 0] == res.alpha
+
+    def test_zero_or_ascent_direction_is_not_accepted(self, rng):
+        U = rng.random((3, 4))
+        grad = rng.normal(size=(3, 4))
+        for direction in (np.zeros((3, 4)), grad, np.where(grad > 0.0, 1.0, 0.0)):
+            for curvature in (-1.0, 0.0, 1.0):
+                res = armijo_search(U, direction, f0=2.0, grad=grad, curvature=curvature)
+                assert not res.accepted
+                assert (res.alpha, res.value) == (0.0, 2.0)
+                assert res.point is U
 
 
 class TestInnerLoop:
@@ -335,6 +362,95 @@ class TestPrivateColumnMerge:
                     stages += 1
                     assert np.abs(held[-1] - stage_matrix(data, d) @ res.point).max() <= 1e-12
         assert stages > 0
+
+
+def repair_reference(U, abar, set_sizes):
+    """The repair row by row, through column member lists: each row takes
+    its largest entry's column; within a set, rows colliding on a column
+    are reassigned one by one to the column, held by no other row of their
+    set, whose members add the least 2 sum abar[row, b]; ties go to the
+    lowest column, and the row with the largest entry keeps the column
+    (lowest row on ties)."""
+    m = U.shape[0]
+    cols = np.argmax(U, axis=1)
+    members: dict[int, list[int]] = {}
+    for row, c in enumerate(cols):
+        members.setdefault(int(c), []).append(row)
+    offset = 0
+    for size in set_sizes:
+        block_rows = range(offset, offset + size)
+        claimed: dict[int, list[int]] = {}
+        for row in block_rows:
+            claimed.setdefault(int(cols[row]), []).append(row)
+        for col in sorted(c for c, rows in claimed.items() if len(rows) > 1):
+            rows = claimed[col]
+            keep = max(rows, key=lambda r: (U[r, col], -r))
+            for row in rows:
+                if row == keep:
+                    continue
+                members[col].remove(row)
+                forbidden = {int(cols[r]) for r in block_rows if r != row}
+                best_col, best_delta = -1, np.inf
+                for c in range(m):
+                    if c in forbidden:
+                        continue
+                    delta = 2.0 * sum(abar[row, b] for b in members.get(c, ()))
+                    if delta < best_delta:
+                        best_col, best_delta = c, delta
+                cols[row] = best_col
+                members.setdefault(best_col, []).append(row)
+        offset += size
+    return cols
+
+
+class TestRepair:
+    def test_matches_row_by_row_reference(self, rng):
+        # fractional iterates whose rows crowd onto a few hot columns, with
+        # entries on a coarse grid so that the claim and keeper tie rules
+        # matter; most cases collide in two or more sets
+        several = 0
+        for _ in range(400):
+            inst = random_instance(rng, max_universe=5, max_sets=5)
+            data = build_relaxation(inst)
+            m = inst.num_elements
+            U = rng.choice([0.0, 0.05, 0.1], size=(m, m))
+            hot = rng.choice(m, size=int(rng.integers(1, max(2, m // 3))), replace=False)
+            U[np.arange(m), rng.choice(hot, size=m)] = rng.choice([0.4, 0.5], size=m)
+            claims = np.argmax(U, axis=1)
+            colliding = {int(data.set_index[a]) for a in range(m) for b in range(a)
+                         if claims[a] == claims[b] and data.set_index[a] == data.set_index[b]}
+            several += len(colliding) >= 2
+            cols = solver_module._repair(U, data.abar, data.set_index)
+            np.testing.assert_array_equal(cols, repair_reference(U, data.abar, inst.set_sizes))
+            one_hot = np.eye(m, dtype=np.int64)[cols]
+            assert check_feasible(one_hot, inst).feasible
+        assert several >= 200
+
+    def test_displaced_row_joins_its_true_cluster(self, monkeypatch):
+        # a penalty weight cap far too low to bind leaves rows 3 and 5 of set
+        # 1 both on column 3 (with rows 0 and 6), both at 1.0.  On the tie the
+        # lower row keeps the column, so row 5 moves, and column 2, held by
+        # rows 2 and 8 (sets 0 and 2), adds the least: the three make up one
+        # true object
+        inst, truth = generate(SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.2,
+                                           flip_rate=0.1, rng_seed=179))
+        iterates, repair = [], solver_module._repair
+
+        def recording(U, abar, set_index):
+            iterates.append(U.copy())
+            return repair(U, abar, set_index)
+
+        monkeypatch.setattr(solver_module, "D_INIT", 1e-9)
+        monkeypatch.setattr(solver_module, "D_MAX", 2e-9)
+        monkeypatch.setattr(solver_module, "_repair", recording)
+        res = solve(inst, SolverConfig(rng_seed=0))
+        assert not res.converged
+        (U,) = iterates
+        assert np.argmax(U, axis=1)[[0, 3, 5, 6]].tolist() == [3, 3, 3, 3]
+        assert U[3, 3] == U[5, 3]
+        labels = res.assignment.labels
+        assert labels[5] == labels[2] == labels[8] != labels[3]
+        assert truth.labels[5] == truth.labels[2] == truth.labels[8]
 
 
 class TestInitialize:

@@ -36,6 +36,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SynthConfig(**{"universe_size": 2, "num_sets": 2, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", np.nan), ("inconclusive_rate", np.nan), ("flip_rate", np.nan),
+        ("sigma_per_modality", (0.1, np.nan)), ("inconclusive_per_modality", (np.nan, 0.1)),
+        ("flip_per_modality", (0.0, np.nan))])
+    def test_rejects_nan(self, field, value):
+        # generate's > 0 guards skip a draw whose rate is NaN, so NaN used to
+        # mean 0: noise_sigma=nan gave the noise-free instance
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(universe_size=3, num_sets=3, modality_count=2, rng_seed=4,
+                        **{field: value})
+
     def test_per_modality_override_length(self):
         with pytest.raises(ValueError):
             SynthConfig(universe_size=2, num_sets=2, modality_count=2,
