@@ -44,8 +44,8 @@ from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F40
                    pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
 from .relax import build_relaxation, frobenius_objective, relaxed_objective
-from .solver import (D_GROWTH, D_INIT, STOP_REASONS, SolverConfig, SolverResult,
-                     StageRecord, solve)
+from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
+                     penalty_weights, solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
@@ -292,21 +292,27 @@ def _agree(reported: float, value: float, rtol: float) -> bool:
 
 def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
     """The first stage of a solver trace that solve cannot have written:
-    its d is off the schedule D_INIT K D_GROWTH^i, its inner iterations
-    exceed config.max_inner_iters, its stop reason is "max_iters" while
-    they stay under that cap, or another reason while they reach it, or it
-    merged more rows than its steps can: a merge follows an accepted step
-    and needs two private columns per merged row, so m // 2 rows a step."""
+    it lies past the schedule's last weight, its d is not the schedule's
+    ``penalty_weights`` entry, its inner iterations exceed
+    config.max_inner_iters, its stop reason is "max_iters" while they stay
+    under that cap, or another reason while they reach it, or it merged
+    more rows than its steps can: a merge follows an accepted step and
+    needs two private columns per merged row, so m // 2 rows a step.  A
+    result that is not converged must also have run every weight, since
+    the repair runs only after the last one."""
     trace = result.get("trace", [])
     if not trace:
         return None
     cap = SolverConfig(**result.get("config", {})).max_inner_iters
     merges_per_step = instance.num_elements // 2
-    d = D_INIT * instance.modality_count
+    weights = list(penalty_weights(instance.modality_count))
     for i, stage in enumerate(trace):
         where = f"{path}: trace[{i}]"
-        if not _agree(stage["d"], d, VALUE_RTOL):
-            return f"{where}: d {stage['d']!r} is not the schedule's {d!r}"
+        if i == len(weights):
+            return (f"{where}: past the schedule, which ends after {len(weights)} "
+                    f"penalty weights")
+        if not _agree(stage["d"], weights[i], VALUE_RTOL):
+            return f"{where}: d {stage['d']!r} is not the schedule's {weights[i]!r}"
         steps = stage["inner_iterations"]
         if steps > cap:
             return f"{where}: inner_iterations {steps} exceeds max_inner_iters {cap}"
@@ -317,7 +323,10 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
         if merges > steps * merges_per_step:
             return (f"{where}: merges {merges} with {steps} inner iterations, at most "
                     f"{merges_per_step} a step")
-        d *= D_GROWTH
+    if result.get("converged") is False and len(trace) < len(weights):
+        return (f"{path}: trace[{len(trace) - 1}]: not converged after {len(trace)} of "
+                f"the schedule's {len(weights)} penalty weights; the repair runs only "
+                f"after the last")
     return None
 
 
@@ -440,24 +449,26 @@ def cmd_check(args: argparse.Namespace) -> int:
     if error:
         print(error)
         return 1
+    if "frobenius_value" in result:
+        reported, value = result["frobenius_value"], frobenius_objective(
+            assignment.entries, instance)
+        if not _agree(reported, value, VALUE_RTOL):
+            print(f"frobenius_value {reported!r} does not match the recomputed {value!r}")
+            return 1
     # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
     trace = result.get("trace") or [{"d": 0.0}]
-    recompute = {
-        "frobenius_value": lambda: frobenius_objective(assignment.entries, instance),
-        "relaxed_value": lambda: relaxed_objective(
-            assignment.entries, build_relaxation(instance), trace[-1]["d"]),
-    }
-    for name in [n for n in recompute if n in result]:
-        reported, value = result[name], recompute[name]()
+    last_objective = trace[-1].get("objective") if result.get("converged") is True else None
+    if "relaxed_value" in result or last_objective is not None:
+        value = relaxed_objective(assignment.entries, build_relaxation(instance),
+                                  trace[-1]["d"])
+        reported = result.get("relaxed_value", value)
         if not _agree(reported, value, VALUE_RTOL):
-            print(f"{name} {reported!r} does not match the recomputed {value!r}")
+            print(f"relaxed_value {reported!r} does not match the recomputed {value!r}")
             return 1
-    # a converged solve's last stage ends within BINARY_TOL of its binary output
-    if "objective" in trace[-1] and result.get("converged") is True:
-        reported, value = trace[-1]["objective"], recompute["relaxed_value"]()
-        if not _agree(reported, value, STAGE_RTOL):
-            print(f"{args.result}: trace[{len(trace) - 1}]: objective {reported!r} is "
-                  f"not the converged solve's relaxed value {value!r}")
+        # a converged solve's last stage ends within BINARY_TOL of its binary output
+        if last_objective is not None and not _agree(last_objective, value, STAGE_RTOL):
+            print(f"{args.result}: trace[{len(trace) - 1}]: objective {last_objective!r} "
+                  f"is not the converged solve's relaxed value {value!r}")
             return 1
     print("ok: clusters are feasible and cycle consistent")
     return 0

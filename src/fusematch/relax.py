@@ -65,7 +65,7 @@ def _fuse(instance: Instance) -> tuple[np.ndarray, float]:
     abar[np.arange(m), np.arange(m)] = -float(count)
     (a, b), scores = instance.pairs.T, instance.scores
     fused = count - 2.0 * scores.sum(axis=1)
-    abar[np.r_[a, b], np.r_[b, a]] = np.r_[fused, fused]
+    abar[np.concatenate((a, b)), np.concatenate((b, a))] = np.concatenate((fused, fused))
     cross_entries = m * m - sum(s * s for s in instance.set_sizes)
     stored_cross = 2 * int((set_index[a] != set_index[b]).sum())
     frob_const = (count * (m + 0.25 * (cross_entries - stored_cross))

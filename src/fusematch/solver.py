@@ -19,8 +19,10 @@ moves all that mass into one of those columns, which lowers the objective
 in closed form, so the ridge ends inside the stage.  The weight then grows
 geometrically, warm-starting from the last iterate, until every entry sits
 within BINARY_TOL of {0, 1} and the rounded matrix is feasible.  Snapping
-is therefore not rounding a fractional solution.  If the weight cap is
-reached first, a greedy repair produces a feasible binary fallback and the
+is therefore not rounding a fractional solution.  ``penalty_weights`` is
+the schedule.  Every solve ends in ``_repair``: on a converged iterate that
+is the row-wise argmax, and when the last weight's stage has not converged
+it is a greedy repair that produces a feasible binary fallback, and the
 result is marked not converged.  The reported ``relaxed_value`` is that
 same function at the binary output and the last stage's weight, so on a
 converged solve it agrees with the last stage's objective.
@@ -29,6 +31,7 @@ converged solve it agrees with the last stage's objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -54,7 +57,8 @@ STOP_REASONS = ("tol", "stall", "max_iters")  # why a stage stopped; see StageRe
 class SolverConfig:
     """Solver settings: the seed of the start and of the stage jitter, and
     the inner iteration cap.  The continuation schedule is the constants
-    D_INIT, D_GROWTH, D_MAX, INNER_TOL and BINARY_TOL."""
+    D_INIT, D_GROWTH, D_MAX (see ``penalty_weights``), INNER_TOL and
+    BINARY_TOL."""
 
     max_inner_iters: int = 1000
     rng_seed: int = 0
@@ -103,6 +107,17 @@ class InnerResult:
     objective: float
     stop: str
     merges: int
+
+
+def penalty_weights(modality_count: int) -> Iterator[float]:
+    """The continuation's penalty weights for K modalities: D_INIT K
+    D_GROWTH^i for as long as that is at most D_MAX K, which at the
+    defaults is 20 weights for any K.  ``solve`` runs one stage per weight
+    until it converges, and ``fusematch check`` holds a trace to them."""
+    d, d_max = D_INIT * modality_count, D_MAX * modality_count
+    while d <= d_max:
+        yield d
+        d *= D_GROWTH
 
 
 def project(U: np.ndarray) -> np.ndarray:
@@ -289,14 +304,17 @@ def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
 
 
 def _repair(U: np.ndarray, abar: np.ndarray, set_index: np.ndarray) -> np.ndarray:
-    """Feasible column per row, a fallback for a fractional iterate.
+    """Feasible column per row: how every solve ends.
 
     Each row takes its largest entry's column.  Within a set, of the rows
     claiming one column the one with the largest entry there keeps it
     (lowest row on ties); the others, taken by set, then claimed column,
     then row, each move to the column with the smallest data-term increase
     2 sum_b abar[row, b] over the rows b it holds, among the columns no
-    other row of their set holds.  Ties go to the lowest column index.
+    other row of their set holds.  Ties go to the lowest column index.  On
+    a converged iterate every entry is within BINARY_TOL of a feasible
+    binary matrix, so no two rows of a set claim one column and the result
+    is the row-wise argmax, that matrix's columns.
     """
     m = U.shape[0]
     rows = np.arange(m)
@@ -317,17 +335,30 @@ def _repair(U: np.ndarray, abar: np.ndarray, set_index: np.ndarray) -> np.ndarra
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResult:
     """Solve an association instance by penalty continuation.
 
-    Returns a feasible binary assignment in all cases; ``converged`` is
-    False exactly when the repair fallback had to run.
+    One stage runs per weight of ``penalty_weights`` until the iterate
+    converges, and every solve ends in ``_repair``: on a converged iterate
+    that is the argmax of each row, and after the last weight a greedy
+    repair.  Returns a feasible binary assignment in all cases;
+    ``converged`` is False exactly when the last weight ran without
+    converging.
     """
     cfg = config if config is not None else SolverConfig()
     data = build_relaxation(instance)
-    d = D_INIT * instance.modality_count
-    d_max = D_MAX * instance.modality_count
     U = initialize(instance, cfg)
     jitter_rng = np.random.default_rng((cfg.rng_seed, 1))
     trace: list[StageRecord] = []
-    while True:
+    converged = False
+    for d in penalty_weights(instance.modality_count):
+        if trace:
+            # pgd_inner's merge ends the equal-spread ridge of rows with no
+            # net attraction inside a stage, but not a saddle on shared
+            # columns: two rows that mirror each other under swapping them
+            # and their two columns stay put, since the unstable direction
+            # has a zero component.  A seeded kick at the stage boundary
+            # breaks the symmetry; concentration then amplifies it.  Without
+            # the kick, 3 of the 618 paper-small and solve-mid benchmark
+            # solves (chunks 0-2, seeds 1 and 14990) end in the repair.
+            U = project(U + STAGE_JITTER * jitter_rng.random(U.shape))
         inner = pgd_inner(U, data, d, cfg)
         U = inner.point
         trace.append(StageRecord(d=d, inner_iterations=inner.iterations,
@@ -336,21 +367,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
         rounded = np.rint(U)
         if (np.abs(U - rounded).max() <= BINARY_TOL
                 and feasibility_report(rounded, instance.set_sizes).feasible):
-            cols, converged = rounded.argmax(axis=1), True
+            converged = True
             break
-        d *= D_GROWTH
-        if d > d_max:
-            cols, converged = _repair(U, data.abar, data.set_index), False
-            break
-        # pgd_inner's merge ends the equal-spread ridge of rows with no net
-        # attraction inside a stage, but not a saddle on shared columns: two
-        # rows that mirror each other under swapping them and their two
-        # columns stay put, since the unstable direction has a zero
-        # component.  A seeded kick at the stage boundary breaks the
-        # symmetry; concentration then amplifies it.  Without the kick, 3 of
-        # the 618 paper-small and solve-mid benchmark solves (chunks 0-2,
-        # seeds 1 and 14990) end in the repair.
-        U = project(U + STAGE_JITTER * jitter_rng.random(U.shape))
+    cols = _repair(U, data.abar, data.set_index)
     assignment = Assignment(cols.tolist(), instance.set_sizes)
     relaxed_value = relaxed_objective(assignment.entries, data, trace[-1].d)
     frob_value = frobenius_objective(assignment.entries, instance)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fusematch import Assignment, Instance, SynthConfig, generate, relaxed_objective
+from fusematch import solver
 
 
 def qp_projection_oracle(y: np.ndarray) -> np.ndarray:
@@ -99,3 +100,11 @@ def random_instance(rng: np.random.Generator, *, max_universe: int = 4,
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def forced_repair(monkeypatch):
+    """A penalty weight schedule far below anything that binds, 1e-9 and
+    2e-9 per modality, so that solves end in the greedy repair."""
+    monkeypatch.setattr(solver, "D_INIT", 1e-9)
+    monkeypatch.setattr(solver, "D_MAX", 2e-9)

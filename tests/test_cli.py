@@ -334,6 +334,16 @@ class TestSynthCommand:
         assert len(truth.labels) == inst.num_elements
 
 
+def _past_schedule(result: dict) -> None:
+    # stages on the doubling schedule up to d = 0.01 * 2^24, 25 in all; with
+    # no relaxed value and no convergence claim, nothing else ties down the
+    # last d
+    trace = result["trace"]
+    trace.extend(dict(trace[-1], d=trace[0]["d"] * 2.0 ** i) for i in range(len(trace), 25))
+    del result["relaxed_value"]
+    result["converged"] = False
+
+
 class TestCheckCommand:
     def _solve_to_file(self, tmp_path):
         cfg = SynthConfig(universe_size=3, num_sets=3, rng_seed=2)
@@ -454,34 +464,52 @@ class TestCheckCommand:
         assert "ok:" not in captured.out
 
     @pytest.mark.parametrize("forge, message", [
-        (lambda trace: trace[0].update(inner_iterations=999999),
+        (lambda res: res["trace"][0].update(inner_iterations=999999),
          "trace[0]: inner_iterations 999999 exceeds max_inner_iters 1000"),
-        (lambda trace: trace.insert(0, {"d": 7.0, "inner_iterations": 3, "objective": 0.5}),
+        (lambda res: res["trace"].insert(
+            0, {"d": 7.0, "inner_iterations": 3, "objective": 0.5}),
          "trace[0]: d 7.0 is not the schedule's 0.01"),
-        (lambda trace: trace[-1].update(d=-1.0), "trace[-1]: d -1.0 is not the schedule's"),
-        (lambda trace: trace[-1].update(objective=123456.0),
+        (lambda res: res["trace"][-1].update(d=-1.0),
+         "trace[-1]: d -1.0 is not the schedule's"),
+        (lambda res: res["trace"][-1].update(objective=123456.0),
          "trace[-1]: objective 123456.0 is not the converged solve's relaxed value"),
-        (lambda trace: trace[-1].update(stop="max_iters"),
+        (lambda res: res["trace"][-1].update(stop="max_iters"),
          "trace[-1]: stop 'max_iters' with"),
-        (lambda trace: trace[0].update(inner_iterations=0, merges=1),
+        (lambda res: res["trace"][0].update(inner_iterations=0, merges=1),
          "trace[0]: merges 1 with 0 inner iterations"),
-        (lambda trace: trace[0].update(inner_iterations=2, merges=9),
+        (lambda res: res["trace"][0].update(inner_iterations=2, merges=9),
          "trace[0]: merges 9 with 2 inner iterations, at most 4 a step"),
+        (_past_schedule, "trace[20]: past the schedule, which ends after 20 penalty weights"),
+        (lambda res: res.update(converged=False),
+         "trace[-1]: not converged after 1 of the schedule's 20 penalty weights"),
     ], ids=["iterations-over-cap", "d-off-schedule", "negative-d", "last-objective",
-            "max-iters-under-cap", "merges-without-steps", "merges-over-rows"])
+            "max-iters-under-cap", "merges-without-steps", "merges-over-rows",
+            "past-schedule", "repair-before-cap"])
     def test_forged_trace_fails(self, tmp_path, capsys, forge, message):
         # solve cannot write any of these traces; the message names the
         # file and the stage, also for a negative d that relaxed_value
         # would otherwise reject as an unnamed penalty weight
         inst_path, out = self._solve_to_file(tmp_path)
         data = json.loads(out.read_text())
-        forge(data["trace"])
+        forge(data)
         out.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["check", str(out), str(inst_path)]) == 1
         last = f"trace[{len(data['trace']) - 1}]"
         assert capsys.readouterr().out.startswith(
             f"{out}: {message.replace('trace[-1]', last)}")
+
+    def test_forced_repair_result_passes(self, tmp_path, capsys, forced_repair):
+        # the check reads the solver's schedule, so a repaired solve's trace
+        # of every weight passes under the same schedule
+        inst_path = tmp_path / "instance.json"
+        write_instance(generate(SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.3,
+                                            flip_rate=0.3, rng_seed=1))[0], inst_path)
+        out = tmp_path / "result.json"
+        assert main(["solve", str(inst_path), "--out", str(out)]) == 2
+        assert len(json.loads(out.read_text())["trace"]) == 2
+        assert main(["check", str(out), str(inst_path)]) == 0
+        assert "ok:" in capsys.readouterr().out
 
     def test_trace_without_merges_passes(self, tmp_path, capsys):
         # result files written before the merge count existed still check

@@ -81,5 +81,7 @@ def test_stated_solver_constants_match_the_code():
     for name, pattern in STATED_CONSTANTS.items():
         assert {float(v) for v in re.findall(pattern, text)} == {getattr(solver, name)}, name
     assert "doubles each stage" in text and solver.D_GROWTH == 2.0
+    weights = {int(v) for v in re.findall(r"(\d+) penalty weights for any K", text)}
+    assert weights == {len(list(solver.penalty_weights(1)))}
     iters = {int(v) for v in re.findall(r"`max_inner_iters` \((\d+)\)", text)}
     assert iters == {solver.SolverConfig().max_inner_iters}

@@ -21,12 +21,13 @@ from fusematch import (
     project_row,
     relaxed_objective,
     solve,
+    solve_exact,
 )
 from fusematch import solver as solver_module
 from fusematch.relax import (RelaxationData, relaxed_gradient, relaxed_objective,
                             stage_matrix)
 from fusematch.solver import (INNER_TOL, SETTLE, STOP_REASONS, armijo_search,
-                              initialize, merge_private, pgd_inner)
+                              initialize, merge_private, penalty_weights, pgd_inner)
 
 from conftest import polarized_curvature, qp_projection_oracle, random_instance
 
@@ -426,7 +427,7 @@ class TestRepair:
             assert check_feasible(one_hot, inst).feasible
         assert several >= 200
 
-    def test_displaced_row_joins_its_true_cluster(self, monkeypatch):
+    def test_displaced_row_joins_its_true_cluster(self, forced_repair, monkeypatch):
         # a penalty weight cap far too low to bind leaves rows 3 and 5 of set
         # 1 both on column 3 (with rows 0 and 6), both at 1.0.  On the tie the
         # lower row keeps the column, so row 5 moves, and column 2, held by
@@ -440,8 +441,6 @@ class TestRepair:
             iterates.append(U.copy())
             return repair(U, abar, set_index)
 
-        monkeypatch.setattr(solver_module, "D_INIT", 1e-9)
-        monkeypatch.setattr(solver_module, "D_MAX", 2e-9)
         monkeypatch.setattr(solver_module, "_repair", recording)
         res = solve(inst, SolverConfig(rng_seed=0))
         assert not res.converged
@@ -532,19 +531,25 @@ class TestSolve:
             assert res.relaxed_value == pytest.approx(last.objective, rel=1e-6)
         assert converged >= 12
 
-    def test_repair_fallback_flagged(self, monkeypatch):
+    def test_repair_fallback_flagged(self, forced_repair):
         # a ceiling on the penalty weight below anything useful forces the
         # repair path
         cfg = SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.3,
                           flip_rate=0.3, rng_seed=1)
         inst, _ = generate(cfg)
-        monkeypatch.setattr(solver_module, "D_INIT", 1e-9)
-        monkeypatch.setattr(solver_module, "D_MAX", 2e-9)
         res = solve(inst, SolverConfig(rng_seed=0))
         assert not res.converged
         assert check_feasible(res.assignment.entries, inst).feasible
         U = res.assignment.entries
         assert np.all((U == 0.0) | (U == 1.0))
+
+    def test_forced_repair_runs_every_weight(self, forced_repair):
+        # the repair runs only once the schedule is spent: one stage per weight
+        inst, _ = generate(SynthConfig(universe_size=3, num_sets=3, modality_count=2,
+                                       noise_sigma=0.3, flip_rate=0.3, rng_seed=1))
+        res = solve(inst, SolverConfig(rng_seed=0))
+        assert not res.converged
+        assert [s.d for s in res.trace] == list(penalty_weights(2)) == [2e-9, 4e-9]
 
     def test_trace_records_stages(self, rng):
         inst = random_instance(rng)
@@ -552,6 +557,43 @@ class TestSolve:
         assert len(res.trace) >= 1
         ds = [stage.d for stage in res.trace]
         assert all(b > a for a, b in zip(ds, ds[1:]))
+
+
+def all_ones(count: int) -> Instance:
+    """3 sets of 3, every cross-set score 1 in each of ``count`` modalities:
+    no score tells the objects apart, and a solve takes 9 to 11 stages with
+    a seeded kick between each two; the optimum is 36 per modality."""
+    pairs = [(a, b) for a in range(9) for b in range(a + 1, 9) if a // 3 != b // 3]
+    return Instance(set_sizes=(3, 3, 3), modality_count=count, pairs=pairs,
+                    scores=[(1.0,) * count] * len(pairs))
+
+
+# a worse vertex (40 at K = 1, 80 at K = 2) that the binary polish in
+# ROADMAP.md, which is to replace _repair, has to turn into the optimum
+ALL_ONES_MISSES = {(1, 1), (2, 5)}
+
+
+@pytest.mark.parametrize("count, seed", [
+    pytest.param(count, seed, marks=pytest.mark.xfail(
+        strict=True, reason="continuation ends at a worse vertex; the binary "
+                            "polish is to fix it"))
+    if (count, seed) in ALL_ONES_MISSES else (count, seed)
+    for count in (1, 2) for seed in range(10)])
+def test_all_ones_reaches_the_optimum(count, seed):
+    inst = all_ones(count)
+    res = solve(inst, SolverConfig(rng_seed=seed))
+    assert res.converged and len(res.trace) > 1   # kicked between stages
+    assert res.frobenius_value == 36.0 * count == solve_exact(inst).value
+
+
+class TestPenaltyWeights:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_twenty_doubling_weights_up_to_the_cap(self, count):
+        weights, growth = list(penalty_weights(count)), solver_module.D_GROWTH
+        assert len(weights) == 20
+        assert weights[0] == solver_module.D_INIT * count
+        assert weights[1:] == [w * growth for w in weights[:-1]]
+        assert weights[-1] <= solver_module.D_MAX * count < weights[-1] * growth
 
 
 class TestSolverConfig:
