@@ -271,10 +271,11 @@ def read_result(path: str | Path) -> dict:
         if stage.get("stop", STOP_REASONS[0]) not in STOP_REASONS:
             raise FileFormatError(f"{path}: trace[{i}]: stop: expected one of "
                                   f"{', '.join(STOP_REASONS)}")
-        merges = stage.get("merges", 0)
-        if type(merges) is not int or merges < 0:
-            raise FileFormatError(f"{path}: trace[{i}]: merges: expected a nonnegative "
-                                  f"integer")
+        for count in ("merges", "fills"):
+            value = stage.get(count, 0)
+            if type(value) is not int or value < 0:
+                raise FileFormatError(f"{path}: trace[{i}]: {count}: expected a "
+                                      f"nonnegative integer")
     if trace:   # a trace comes from solve, so config holds SolverConfig fields
         config = data.get("config", {})
         _require_fields(config, {f.name for f in fields(SolverConfig)}, set(),
@@ -296,15 +297,16 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
     ``penalty_weights`` entry, its inner iterations exceed
     config.max_inner_iters, its stop reason is "max_iters" while they stay
     under that cap, or another reason while they reach it, or it merged
-    more rows than its steps can: a merge follows an accepted step and
-    needs two private columns per merged row, so m // 2 rows a step.  A
+    or filled more rows than its steps can: each follows an accepted step,
+    a merge needs two private columns per merged row, so m // 2 rows a
+    step, and a fill raises each row at most once, so m rows a step.  A
     result that is not converged must also have run every weight, since
     the repair runs only after the last one."""
     trace = result.get("trace", [])
     if not trace:
         return None
     cap = SolverConfig(**result.get("config", {})).max_inner_iters
-    merges_per_step = instance.num_elements // 2
+    m = instance.num_elements
     weights = list(penalty_weights(instance.modality_count))
     for i, stage in enumerate(trace):
         where = f"{path}: trace[{i}]"
@@ -319,10 +321,10 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
         if "stop" in stage and (stage["stop"] == "max_iters") != (steps == cap):
             return (f"{where}: stop {stage['stop']!r} with {steps} of "
                     f"max_inner_iters {cap} inner iterations")
-        merges = stage.get("merges", 0)
-        if merges > steps * merges_per_step:
-            return (f"{where}: merges {merges} with {steps} inner iterations, at most "
-                    f"{merges_per_step} a step")
+        for count, per_step in (("merges", m // 2), ("fills", m)):
+            if stage.get(count, 0) > steps * per_step:
+                return (f"{where}: {count} {stage[count]} with {steps} inner "
+                        f"iterations, at most {per_step} a step")
     if result.get("converged") is False and len(trace) < len(weights):
         return (f"{path}: trace[{len(trace) - 1}]: not converged after {len(trace)} of "
                 f"the schedule's {len(weights)} penalty weights; the repair runs only "

@@ -16,7 +16,10 @@ one step instead of shrinking geometrically.  A row with no net attraction
 uses, an equal-spread ridge of the overlap penalty that gradient steps
 leave only slowly; after each step that changes the support, such a row
 moves all that mass into one of those columns, which lowers the objective
-in closed form, so the ridge ends inside the stage.  The weight then grows
+in closed form, so the ridge ends inside the stage.  Once the support
+stays put, a row left alone in its one private column is raised to 1
+there, the minimizer of its part of the objective, instead of closing its
+gap 1 - u by a factor 1 - 2d a step until the spectral step.  The weight then grows
 geometrically, warm-starting from the last iterate, until every entry sits
 within BINARY_TOL of {0, 1} and the rounded matrix is feasible.  Snapping
 is therefore not rounding a fractional solution.  ``penalty_weights`` is
@@ -72,15 +75,17 @@ class StageRecord:
     """One continuation stage: penalty weight, inner iterations, final value,
     why the stage stopped: ``"tol"`` (the step fell under INNER_TOL per
     element), ``"stall"`` (no step decreases the objective at float
-    precision) or ``"max_iters"`` (the iteration cap ran out), and how many
+    precision) or ``"max_iters"`` (the iteration cap ran out), how many
     rows ``merge_private`` merged over the stage (a row merged after two
-    steps counts twice)."""
+    steps counts twice), and how many ``fill_lone_rows`` filled, counted
+    the same way."""
 
     d: float
     inner_iterations: int
     objective: float
     stop: str
     merges: int
+    fills: int
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,7 @@ class InnerResult:
     objective: float
     stop: str
     merges: int
+    fills: int
 
 
 def penalty_weights(modality_count: int) -> Iterator[float]:
@@ -218,6 +224,33 @@ def merge_private(U: np.ndarray, support: np.ndarray, stage: np.ndarray,
     return rows.size, float(total @ total - (moved * moved).sum())
 
 
+def fill_lone_rows(U: np.ndarray, support: np.ndarray, stage: np.ndarray,
+                   stage_u: np.ndarray, row_sums: np.ndarray) -> tuple[int, float]:
+    """Raise to 1 each row whose whole support is one private column.
+
+    Such a row's part of the objective is d (u^2 - 2 u) for its one entry
+    u: the data term is 0 (no other row meets the column, and abar's
+    diagonal is 0), and its row sum, its set's column sum and its norm are
+    all u.  On [0, 1] that is least at u = 1, so filling lowers the
+    objective by d (1 - u)^2 and keeps the support.  U, ``row_sums`` and
+    ``stage_u`` = M_d U are updated in place, the last by M_d[:, R] (1 - u)
+    over the filled rows R, whose columns are distinct since each is
+    private.  Returns |R| and the sum over R of (1 - u)^2.
+    """
+    rows = np.flatnonzero(np.count_nonzero(support, axis=1) == 1)
+    cols = support[rows].argmax(axis=1)
+    keep = ((np.count_nonzero(support, axis=0)[cols] == 1)
+            & (U[rows, cols] < 1.0))
+    if not keep.any():
+        return 0, 0.0
+    rows, cols = rows[keep], cols[keep]
+    gap = 1.0 - U[rows, cols]
+    U[rows, cols] = 1.0
+    row_sums[rows] = 1.0
+    stage_u[:, cols] += stage[:, rows] * gap
+    return rows.size, float(gap @ gap)
+
+
 def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
               config: SolverConfig) -> InnerResult:
     """Minimize the relaxed objective at fixed d from a feasible start.
@@ -238,9 +271,13 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     depends on the support alone, and a merge leaves every row at most one,
     so a step that keeps the support has nothing to merge.  Each step
     compares the support with the last one once, and again only after a
-    merge, which may change it.  The stage stops when ||D|| <= INNER_TOL * m
-    (``"tol"``; with s >= 1 no looser than the unit-step test), when
-    ``armijo_search`` accepts no step (``"stall"``), or after
+    merge, which may change it.  On the first step that keeps the support
+    (the first step of the stage included), ``fill_lone_rows`` raises every
+    row whose whole support is one private column to 1 there, updates M_d U
+    and r, and the objective falls by d times its gain; the fill keeps the
+    support, so it runs once per support.  The stage stops when ||D|| <=
+    INNER_TOL * m (``"tol"``; with s >= 1 no looser than the unit-step
+    test), when ``armijo_search`` accepts no step (``"stall"``), or after
     config.max_inner_iters steps (``"max_iters"``).
     """
     U = project(np.asarray(U0, dtype=float))
@@ -250,7 +287,7 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     stage = stage_matrix(data, d)
     stage_u, row_sums = stage @ U, U.sum(axis=1)
     support, settled, step_length = U > 0.0, 0, 1.0
-    iterations, merges, stop = 0, 0, "max_iters"
+    iterations, merges, fills, stop = 0, 0, 0, "max_iters"
     for _ in range(config.max_inner_iters):
         if not np.isfinite(value):
             raise FloatingPointError("relaxed objective became non-finite")
@@ -281,6 +318,10 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
                 same = np.array_equal(new_support, support)
         if same:
             settled += 1
+            if settled == 1:
+                filled, gain = fill_lone_rows(U, support, stage, stage_u, row_sums)
+                value -= d * gain
+                fills += filled
         else:
             support, settled = new_support, 0
         step_length = 1.0
@@ -289,7 +330,8 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
             if curvature > 0.0:
                 step_length = min(max(norm * norm / (2.0 * curvature), 1.0), S_MAX)
     return InnerResult(point=U, iterations=iterations,
-                       objective=relaxed_objective(U, data, d), stop=stop, merges=merges)
+                       objective=relaxed_objective(U, data, d), stop=stop, merges=merges,
+                       fills=fills)
 
 
 def initialize(instance: Instance, config: SolverConfig) -> np.ndarray:
@@ -363,7 +405,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
         U = inner.point
         trace.append(StageRecord(d=d, inner_iterations=inner.iterations,
                                  objective=inner.objective, stop=inner.stop,
-                                 merges=inner.merges))
+                                 merges=inner.merges, fills=inner.fills))
         rounded = np.rint(U)
         if (np.abs(U - rounded).max() <= BINARY_TOL
                 and feasibility_report(rounded, instance.set_sizes).feasible):

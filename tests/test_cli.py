@@ -451,6 +451,12 @@ class TestCheckCommand:
          "trace[0]: merges: expected a nonnegative integer"),
         ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": True}],
          "trace[0]: merges: expected a nonnegative integer"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "fills": -1}],
+         "trace[0]: fills: expected a nonnegative integer"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "fills": 1.0}],
+         "trace[0]: fills: expected a nonnegative integer"),
+        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "fills": False}],
+         "trace[0]: fills: expected a nonnegative integer"),
     ])
     def test_malformed_result_fields_rejected(self, tmp_path, capsys, field, value, message):
         # each of these used to pass with "ok"
@@ -482,9 +488,14 @@ class TestCheckCommand:
         (_past_schedule, "trace[20]: past the schedule, which ends after 20 penalty weights"),
         (lambda res: res.update(converged=False),
          "trace[-1]: not converged after 1 of the schedule's 20 penalty weights"),
+        (lambda res: res["trace"][0].update(inner_iterations=0, merges=0, fills=1),
+         "trace[0]: fills 1 with 0 inner iterations"),
+        (lambda res: res["trace"][0].update(inner_iterations=2, merges=0, fills=19),
+         "trace[0]: fills 19 with 2 inner iterations, at most 9 a step"),
     ], ids=["iterations-over-cap", "d-off-schedule", "negative-d", "last-objective",
             "max-iters-under-cap", "merges-without-steps", "merges-over-rows",
-            "past-schedule", "repair-before-cap"])
+            "past-schedule", "repair-before-cap", "fills-without-steps",
+            "fills-over-rows"])
     def test_forged_trace_fails(self, tmp_path, capsys, forge, message):
         # solve cannot write any of these traces; the message names the
         # file and the stage, also for a negative d that relaxed_value
@@ -516,6 +527,14 @@ class TestCheckCommand:
         inst_path, out = self._solve_to_file(tmp_path)
         data = json.loads(out.read_text())
         assert all(stage.pop("merges") >= 0 for stage in data["trace"])
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), str(inst_path)]) == 0
+
+    def test_trace_without_fills_passes(self, tmp_path, capsys):
+        # result files written before the fill count existed still check
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        assert all(stage.pop("fills") >= 0 for stage in data["trace"])
         out.write_text(json.dumps(data))
         assert main(["check", str(out), str(inst_path)]) == 0
 

@@ -1,5 +1,5 @@
-"""Projection, exact step, inner descent loop, private-column merge, repair
-and the continuation driver."""
+"""Projection, exact step, inner descent loop, private-column merge, lone-row
+fill, repair and the continuation driver."""
 
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from fusematch import solver as solver_module
 from fusematch.relax import (RelaxationData, relaxed_gradient, relaxed_objective,
                             stage_matrix)
 from fusematch.solver import (INNER_TOL, SETTLE, STOP_REASONS, armijo_search,
-                              initialize, merge_private, penalty_weights, pgd_inner)
+                              fill_lone_rows, initialize, merge_private, penalty_weights,
+                              pgd_inner)
 
 from conftest import polarized_curvature, qp_projection_oracle, random_instance
 
@@ -219,11 +220,24 @@ def merge_reference(U):
     return U
 
 
-def unit_step_reference(U, data, d):
-    """One iteration of pgd_inner before the spectral step, from U: the
-    unit-step direction from relaxed_gradient, the exact step along it with
-    the curvature polarized from relaxed_objective, then the private-column
-    merge."""
+def fill_reference(U):
+    """The lone-row fill, row by row: a row whose only positive entry lies
+    in a column where no other row has mass is set to 1 there."""
+    U = U.copy()
+    for i in range(U.shape[0]):
+        (cols,) = np.nonzero(U[i] > 0.0)
+        if cols.size == 1 and np.count_nonzero(U[:, cols[0]] > 0.0) == 1:
+            U[i, cols[0]] = 1.0
+    return U
+
+
+def unit_step_reference(U, previous, data, d):
+    """One iteration of pgd_inner before the spectral step, from U, whose
+    predecessor had the support ``previous`` (None on a stage's first
+    step): the unit-step direction from relaxed_gradient, the exact step
+    along it with the curvature polarized from relaxed_objective, the
+    private-column merge, and then the lone-row fill when the step keeps
+    U's support and the step before it did not (or there was none)."""
     grad = relaxed_gradient(U, data, d)
     direction = project(U - grad) - U
     slope = float((grad * direction).sum())
@@ -231,14 +245,20 @@ def unit_step_reference(U, data, d):
         return U
     curvature = polarized_curvature(direction, data, d)
     alpha = 1.0 if curvature <= -0.5 * slope else -slope / (2.0 * curvature)
-    return merge_reference(U + alpha * direction)
+    after = merge_reference(U + alpha * direction)
+    support = U > 0.0
+    if np.array_equal(after > 0.0, support) and (
+            previous is None or not np.array_equal(previous, support)):
+        after = fill_reference(after)
+    return after
 
 
 class TestOneMatmulIteration:
     def test_unit_steps_match_reference_step(self, rng):
         # up to SETTLE iterations pgd_inner takes unit steps; each one, made
         # from M_d U kept up to date by M_d D and the curvature algebra,
-        # must be the reference step from the same point.  Near stationarity
+        # must be the reference step from the same point, which fills lone
+        # rows when the support first stays put.  Near stationarity
         # the slope <grad, D> cancels, so gradients equal to rounding give
         # steps equal to about 1e-6 of their length: hence the relative term
         for _ in range(8):
@@ -250,19 +270,37 @@ class TestOneMatmulIteration:
                 points = [project(U0)] + [
                     pgd_inner(U0, data, d, SolverConfig(max_inner_iters=k)).point
                     for k in range(1, SETTLE + 1)]
-                for before, after in zip(points, points[1:]):
-                    expected = unit_step_reference(before, data, d)
+                supports = [None] + [point > 0.0 for point in points]
+                for before, after, previous in zip(points, points[1:], supports):
+                    expected = unit_step_reference(before, previous, data, d)
                     step = np.abs(expected - before).max()
                     assert np.abs(after - expected).max() <= 1e-12 + 1e-6 * step
 
     def test_lone_row_tail_takes_a_spectral_step(self):
         # f(u) = d (u^2 - 2u): unit steps shrink 1 - u by 1 - 2d = 0.96 per
-        # iteration; once the support has settled, the spectral step length
-        # 1 / (2d) lands on u = 1
+        # iteration.  The row is alone in its column, so the lone-row fill
+        # lands it on u = 1 after the first step, which keeps the support;
+        # the spectral step is left to the shared-column case below
         res = pgd_inner(np.array([[0.5]]), scalar_relaxation(), 0.02, SolverConfig())
         assert abs(res.point[0, 0] - 1.0) <= 1e-12
         assert res.iterations <= SETTLE + 2
         assert res.stop == "tol"
+
+    def test_shared_column_tail_takes_a_spectral_step(self):
+        # two rows of two sets share column 0 under a weak pull a, so no
+        # fill applies: f = 2 a u v + d (u^2 - 2u + v^2 - 2v), and from
+        # u = v = 0.5 unit steps shrink the distance to the optimum
+        # d / (d + a) > 1 by 1 - 2 (d + a) = 0.962 per iteration, reaching
+        # the row cap after about 60; once the support has settled, the
+        # spectral step length 1 / (2 (d + a)) lands on u = v = 1
+        pull = -0.001
+        data = RelaxationData(abar=np.array([[0.0, pull], [pull, 0.0]]), frob_const=0.0,
+                              set_offsets=(0, 1), set_index=np.arange(2))
+        res = pgd_inner(np.array([[0.5, 0.0], [0.5, 0.0]]), data, 0.02, SolverConfig())
+        assert np.abs(res.point - [[1.0, 0.0], [1.0, 0.0]]).max() <= 1e-12
+        assert res.iterations <= SETTLE + 2
+        assert res.stop == "tol"
+        assert res.fills == 0
 
     def test_stage_objective_is_resynced(self, rng, monkeypatch):
         # the tracked objective drifts by rounding; each StageRecord holds
@@ -363,6 +401,78 @@ class TestPrivateColumnMerge:
                     stages += 1
                     assert np.abs(held[-1] - stage_matrix(data, d) @ res.point).max() <= 1e-12
         assert stages > 0
+
+
+class TestLoneRowFill:
+    def test_fill_property(self, rng):
+        # random sparse iterates: every filled row sums to 1, the data term
+        # stays, the objective falls by exactly d sum (1 - u)^2, M_d U and
+        # the row sums stay current, and a row holding any shared column is
+        # untouched
+        filled_total = 0
+        for _ in range(300):
+            inst = random_instance(rng, max_universe=5, max_sets=5)
+            data = build_relaxation(inst)
+            m = inst.num_elements
+            d = float(rng.choice([0.02, 0.5, 4.0]))
+            U = project(rng.random((m, m)) * (rng.random((m, m)) < rng.uniform(0.02, 0.3)))
+            stage = stage_matrix(data, d)
+            after, support = U.copy(), U > 0.0
+            stage_u, row_sums = stage @ U, U.sum(axis=1)
+            filled, gain = fill_lone_rows(after, support, stage, stage_u, row_sums)
+            filled_total += filled
+            np.testing.assert_array_equal(after, fill_reference(U))
+            np.testing.assert_array_equal(support, U > 0.0)
+            rows = np.flatnonzero((after != U).any(axis=1))
+            assert rows.size == filled
+            assert (after[rows].sum(axis=1) == 1.0).all()
+            np.testing.assert_array_equal(row_sums, after.sum(axis=1))
+            shared = (support & (np.count_nonzero(support, axis=0) > 1)).any(axis=1)
+            np.testing.assert_array_equal(after[shared], U[shared])
+            assert data_term(after, data) == pytest.approx(data_term(U, data), abs=1e-12)
+            gap = 1.0 - U[rows].sum(axis=1)
+            assert gain == pytest.approx(float(gap @ gap), abs=1e-12)
+            assert relaxed_objective(after, data, d) == pytest.approx(
+                relaxed_objective(U, data, d) - d * gain, abs=1e-12)
+            assert np.abs(stage_u - stage @ after).max() <= 1e-12
+        assert filled_total > 0
+
+    def test_stage_keeps_stage_product_current(self, rng, monkeypatch):
+        # fill_lone_rows updates pgd_inner's M_d U in place; after a stage
+        # with fills it must still be stage_matrix(data, d) @ U
+        held = []
+
+        def holding(U, support, stage, stage_u, row_sums):
+            held.append(stage_u)
+            return fill_lone_rows(U, support, stage, stage_u, row_sums)
+
+        monkeypatch.setattr(solver_module, "fill_lone_rows", holding)
+        stages = 0
+        for _ in range(30):
+            inst = random_instance(rng, max_universe=6, max_sets=5)
+            data = build_relaxation(inst)
+            U0 = initialize(inst, SolverConfig(rng_seed=int(rng.integers(2**31))))
+            for d in (0.02, 0.5, 4.0):
+                held.clear()
+                res = pgd_inner(U0, data, d, SolverConfig())
+                if res.fills:
+                    stages += 1
+                    assert np.abs(held[-1] - stage_matrix(data, d) @ res.point).max() <= 1e-12
+        assert stages > 0
+
+    def test_ladder_outliers_fill_inside_ten_steps(self):
+        # the size ladder's first rung (m = 52): once merged, each outlier
+        # row sits alone in one private column at about 0.6; without the
+        # fill, unit steps shrink 1 - u by 1 - 2d = 0.96 a step until the
+        # spectral step, and the stage took 20 inner iterations
+        inst, _ = generate(SynthConfig(universe_size=10, num_sets=5, modality_count=2,
+                                       noise_sigma=0.15, inconclusive_rate=0.15,
+                                       flip_rate=0.05, outliers_per_run=2, rng_seed=1))
+        res = solve(inst, SolverConfig(rng_seed=0))
+        assert res.converged
+        assert len(res.trace) == 1
+        assert res.trace[0].inner_iterations <= 10
+        assert res.trace[0].fills > 0
 
 
 def repair_reference(U, abar, set_sizes):
