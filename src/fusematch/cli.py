@@ -1,18 +1,18 @@
 """Command-line interface and on-disk file formats.
 
-Instance files are JSON objects {"set_sizes", "modalities", "scores",
-optional "metadata"} where scores is a list of {"a", "b", "s"} entries with
-global indices a < b and s holding one value per modality.  Pairs whose
-scores equal the default (0.5 across sets, 0 within a set) are not stored.
-Every file is written in json.dumps(..., indent=2)'s layout plus a final
-newline.  write_instance emits that layout itself, because json only runs
-its C encoder without an indent: the head and tail (set_sizes, modalities,
-metadata) go through json.dumps, and each score entry is one %-format of a
-row template built once per call from K ("a" and "b" as %d, K %r lines in
-"s"; %r of a float is what json writes), streamed to the file.
-read_instance checks the entries column by column with numpy, reports the
-lowest faulty entry, stores entry i as row i, and leaves the score values
-to Instance.
+Instance files are JSON objects {"set_sizes", "modalities", "a", "b", "s",
+optional "metadata"} holding the columns of Instance's arrays: entry i is
+the pair (a[i], b[i]), global indices a < b, with score s[k][i] in modality
+k, so a and b are Instance.pairs.T and s is Instance.scores.T.  Pairs whose
+scores equal the default (0.5 across sets, 0 within a set) are not stored,
+and the entries follow Instance's canonical order, so equal instances write
+equal bytes.  write_instance prints the head (set_sizes, modalities,
+metadata) with json.dumps(..., indent=2) and each column on one line with
+one json.dumps of its list, which runs json's C encoder.  read_instance
+checks whole columns with numpy, reports the lowest faulty entry, stores
+entry i as row i, and leaves the score values to Instance.  Files in the
+per-entry layout of earlier versions ("scores": [{"a", "b", "s"}, ...])
+are rejected for their unknown field.
 Result files carry clusters, both objective values, the convergence flag, a
 continuation trace and the SolverConfig fields; runs are byte-reproducible
 for a fixed seed.
@@ -28,7 +28,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TextIO
 
@@ -49,8 +48,8 @@ from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
-INSTANCE_FIELDS = {"set_sizes", "modalities", "scores", "metadata"}
-SCORE_FIELDS = {"a", "b", "s"}
+INSTANCE_FIELDS = {"set_sizes", "modalities", "a", "b", "s", "metadata"}
+INDEX_TYPES = frozenset({int})           # bool is not an index
 NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
@@ -113,49 +112,59 @@ def _require_fields(data: dict, allowed: set, required: set, where: str) -> None
         raise FileFormatError(f"{where}: missing field '{sorted(missing)[0]}'")
 
 
-def _score_arrays(entries: list, m: int, count: int,
+def _wrong_type(values: list, types: frozenset) -> np.ndarray:
+    """One flag per value whose exact type is not one of ``types``."""
+    if types.issuperset(map(type, values)):   # no fault: one pass, no flags built
+        return np.zeros(len(values), bool)
+    return ~np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _score_arrays(a: Any, b: Any, s: Any, m: int, count: int,
                   where: str) -> tuple[np.ndarray, np.ndarray]:
-    """The scores list as (P, 2) pairs and (P, K) scores, entry i as row i.
+    """The columns as (P, 2) pairs and (P, K) scores, entry i as row i.
 
-    Each check runs on whole columns of the entries before the first fault
-    found so far, so a faulty list is reported at its lowest faulty entry,
-    with that entry's first fault in the order: fields, integer a/b, range,
-    s, duplicate pair.
+    Shape faults are reported first.  After that each check runs on whole
+    columns of the entries before the first fault found so far, so a
+    faulty file is reported at its lowest faulty entry, with that entry's
+    first fault in the order: integer a/b, range, s, duplicate pair.
     """
-    n, fault = len(entries), None
+    for name, column in (("a", a), ("b", b)):
+        if not isinstance(column, list):
+            raise FileFormatError(f"{where}: {name}: expected a list")
+    if len(a) != len(b):
+        raise FileFormatError(f"{where}: a and b: expected one length, "
+                              f"got {len(a)} and {len(b)}")
+    if not isinstance(s, list) or len(s) != count or not all(
+            isinstance(column, list) for column in s):
+        raise FileFormatError(f"{where}: s: expected {count} lists, one per modality")
+    for k, column in enumerate(s):
+        if len(column) != len(a):
+            raise FileFormatError(f"{where}: s[{k}]: expected {len(a)} scores, "
+                                  f"got {len(column)}")
+    n, fault = len(a), None
 
-    def narrow(bad, message: str | None) -> None:   # bad: one flag per entry before n
+    def narrow(bad, message: str) -> None:   # bad: one flag per entry before n
         nonlocal n, fault
         hits = np.flatnonzero(bad)
         if hits.size:
             n, fault = int(hits[0]), message
 
-    # a fields fault has message None: _require_fields names it below
-    narrow([type(e) is not dict or e.keys() != SCORE_FIELDS for e in entries], None)
-    a, b = [e["a"] for e in entries[:n]], [e["b"] for e in entries[:n]]
-    narrow([type(x) is not int or type(y) is not int for x, y in zip(a, b)],
+    narrow(_wrong_type(a, INDEX_TYPES) | _wrong_type(b, INDEX_TYPES),
            "a and b must be integers")
-    a, b = np.array(a[:n]), np.array(b[:n])   # not int64 if an index is past it
-    narrow((a < 0) | (a >= b) | (b >= m), f"indices must satisfy 0 <= a < b < {m}")
-    s = [e["s"] for e in entries[:n]]
-    narrow(np.array([len(v) if type(v) is list else -1 for v in s]) != count,
-           f"s: expected {count} numbers")
-    values = list(chain.from_iterable(s[:n]))
-    narrow(~np.fromiter(map(NUMBER_TYPES.__contains__, map(type, values)), bool,
-                        len(values)).reshape(n, count).all(axis=1),
-           f"s: expected {count} numbers")
-    pairs = np.column_stack((a[:n], b[:n])).astype(np.int64)
+    ia, ib = np.array(a[:n]), np.array(b[:n])   # not int64 if an index is past it
+    narrow((ia < 0) | (ia >= ib) | (ib >= m), f"indices must satisfy 0 <= a < b < {m}")
+    narrow(np.logical_or.reduce([_wrong_type(column[:n], NUMBER_TYPES) for column in s]),
+           "s: expected a number in each modality")
+    pairs = np.column_stack((ia[:n], ib[:n])).astype(np.int64)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))   # stable: repeats sort after the first
     ordered = pairs[order]
     repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
     if repeats.size:   # the last check: no later one can move the fault
         n = int(repeats.min())
         fault = "duplicate pair (%d, %d)" % tuple(pairs[n])
-    if n < len(entries):
-        if fault is None:
-            _require_fields(entries[n], SCORE_FIELDS, SCORE_FIELDS, f"{where}: scores[{n}]")
-        raise FileFormatError(f"{where}: scores[{n}]: {fault}")
-    return pairs, np.array(values, dtype=np.float64).reshape(n, count)
+    if n < len(a):
+        raise FileFormatError(f"{where}: entry {n}: {fault}")
+    return pairs, np.array(s, dtype=np.float64).T
 
 
 def _set_sizes(sizes, path: str | Path) -> list[int]:
@@ -167,18 +176,17 @@ def _set_sizes(sizes, path: str | Path) -> list[int]:
 
 def read_instance(path: str | Path) -> Instance:
     data = _load_json(path)
-    _require_fields(data, INSTANCE_FIELDS, {"set_sizes", "modalities", "scores"}, str(path))
+    _require_fields(data, INSTANCE_FIELDS, INSTANCE_FIELDS - {"metadata"}, str(path))
     sizes = _set_sizes(data["set_sizes"], path)
     count = data["modalities"]
     if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
-    if not isinstance(data["scores"], list):
-        raise FileFormatError(f"{path}: scores: expected a list")
-    try:   # Instance checks the values; its messages name the scores[i] row
-        pairs, scores = _score_arrays(data["scores"], sum(sizes), count, str(path))
+    try:   # Instance checks the values; its messages name entry i as scores[i]
+        pairs, scores = _score_arrays(data["a"], data["b"], data["s"], sum(sizes), count,
+                                      str(path))
         return Instance(tuple(sizes), count, pairs, scores)
-    except OverflowError as exc:
-        raise FileFormatError(f"{path}: scores: {exc}") from exc
+    except OverflowError as exc:   # a score past float64
+        raise FileFormatError(f"{path}: s: {exc}") from exc
     except InvalidInstanceError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -186,23 +194,17 @@ def read_instance(path: str | Path) -> Instance:
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
     head = {"set_sizes": list(instance.set_sizes),
-            "modalities": instance.modality_count, "scores": []}
+            "modalities": instance.modality_count, "a": []}
     if metadata is not None:
         head["metadata"] = metadata
-    # the first '"scores": []' is the top-level one: nothing before it can hold it
-    head_text, empty, tail_text = json.dumps(head, indent=2).partition('"scores": []')
-    # one entry in json.dumps(..., indent=2)'s layout; %r of a float is what json writes
-    row = (',\n    {\n      "a": %d,\n      "b": %d,\n      "s": [\n'
-           + ",\n".join(["        %r"] * instance.modality_count) + "\n      ]\n    }")
-    rows = map(row.__mod__, zip(*instance.pairs.T.tolist(), *instance.scores.T.tolist()))
+    # the first '"a": []' is the top-level one: only metadata, after it, could hold another
+    head_text, _, tail_text = json.dumps(head, indent=2).partition('"a": []')
+    # json.dumps without an indent runs json's C encoder; json.dump to a file would not
+    a, b = instance.pairs.T.tolist()
+    s = ",".join("\n    " + json.dumps(column) for column in instance.scores.T.tolist())
     with _output(path) as fh:
-        first = next(rows, None)
-        if first is None:
-            fh.write(head_text + empty + tail_text + "\n")
-            return
-        fh.write(head_text + '"scores": [' + first[1:])   # no ',' before the first row
-        fh.writelines(rows)
-        fh.write("\n  ]" + tail_text + "\n")
+        fh.writelines((head_text, '"a": ', json.dumps(a), ',\n  "b": ', json.dumps(b),
+                       ',\n  "s": [', s, "\n  ]", tail_text, "\n"))
 
 
 def read_truth(path: str | Path) -> GroundTruth:

@@ -33,11 +33,30 @@ def instance_file(tmp_path):
     return inst_path, truth_path, instance, truth
 
 
+def _columns_file(path, a, b, s, sizes=(1, 1), count=1):
+    """An instance file holding the given columns as they are, faults included."""
+    path.write_text(json.dumps({"set_sizes": list(sizes), "modalities": count,
+                                "a": a, "b": b, "s": s}))
+    return path
+
+
 class TestInstanceIO:
     def test_write_then_read_is_exact(self, instance_file):
         inst_path, _, instance, _ = instance_file
         loaded = read_instance(inst_path)
         assert loaded == instance
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_generated_instances_roundtrip(self, tmp_path, count):
+        cfg = SynthConfig(universe_size=4, num_sets=3, modality_count=count,
+                          observe_prob=0.8, outliers_per_run=1, noise_sigma=0.2,
+                          inconclusive_rate=0.2, flip_rate=0.1, rng_seed=count)
+        instance, _ = generate(cfg)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_instance(instance, first)
+        write_instance(read_instance(first), second)
+        assert read_instance(first) == instance
+        assert first.read_bytes() == second.read_bytes()
 
     def test_default_score_vectors_omitted(self, tmp_path):
         from fusematch import Instance
@@ -47,8 +66,7 @@ class TestInstanceIO:
         path = tmp_path / "sparse.json"
         write_instance(inst, path)
         data = json.loads(path.read_text())
-        stored_pairs = {(e["a"], e["b"]) for e in data["scores"]}
-        assert stored_pairs == {(0, 2)}
+        assert (data["a"], data["b"], data["s"]) == ([0], [2], [[0.9]])
         assert read_instance(path) == inst
 
     def test_within_set_half_scores_roundtrip(self, tmp_path):
@@ -60,39 +78,39 @@ class TestInstanceIO:
         path = tmp_path / "within.json"
         write_instance(inst, path)
         data = json.loads(path.read_text())
-        assert {(e["a"], e["b"]) for e in data["scores"]} == {(0, 1), (0, 2)}
+        assert (data["a"], data["b"], data["s"]) == ([0, 0], [1, 2], [[0.5, 0.9]])
         assert read_instance(path) == inst
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1, "scores": [], "extra": 1}))
-        with pytest.raises(FileFormatError, match="extra"):
+            "set_sizes": [1, 1], "modalities": 1, "a": [], "b": [], "s": [[]],
+            "extra": 1}))
+        with pytest.raises(FileFormatError, match="unknown field 'extra'"):
+            read_instance(path)
+
+    def test_per_entry_layout_rejected(self, tmp_path):
+        # the layout of earlier versions has no second reader
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"set_sizes": [1, 1], "modalities": 1,
+                                    "scores": [{"a": 0, "b": 1, "s": [0.9]}]}))
+        with pytest.raises(FileFormatError, match="unknown field 'scores'"):
             read_instance(path)
 
     def test_score_out_of_range_names_entry(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1,
-            "scores": [{"a": 0, "b": 1, "s": [1.5]}]}))
-        with pytest.raises(FileFormatError, match=r"scores\[0\]"):
+        path = _columns_file(tmp_path / "bad.json", [0], [1], [[1.5]])
+        with pytest.raises(FileFormatError, match=r"scores\[0\] for pair \(0, 1\): "
+                                                  r"scores must lie in \[0, 1\]"):
             read_instance(path)
 
     def test_unordered_pair_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1,
-            "scores": [{"a": 1, "b": 0, "s": [0.9]}]}))
-        with pytest.raises(FileFormatError, match="0 <= a < b"):
+        path = _columns_file(tmp_path / "bad.json", [1], [0], [[0.9]])
+        with pytest.raises(FileFormatError, match="entry 0: indices must satisfy 0 <= a < b"):
             read_instance(path)
 
     def test_duplicate_pair_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1,
-            "scores": [{"a": 0, "b": 1, "s": [0.9]},
-                       {"a": 0, "b": 1, "s": [0.8]}]}))
-        with pytest.raises(FileFormatError, match="duplicate"):
+        path = _columns_file(tmp_path / "bad.json", [0, 0], [1, 1], [[0.9, 0.8]])
+        with pytest.raises(FileFormatError, match=r"entry 1: duplicate pair \(0, 1\)"):
             read_instance(path)
 
     def test_malformed_json_names_line(self, tmp_path):
@@ -102,29 +120,55 @@ class TestInstanceIO:
             read_instance(path)
 
     def test_boolean_score_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1,
-            "scores": [{"a": 0, "b": 1, "s": [True]}]}))
-        with pytest.raises(FileFormatError):
+        path = _columns_file(tmp_path / "bad.json", [0], [1], [[True]])
+        with pytest.raises(FileFormatError, match="entry 0: s: expected a number"):
             read_instance(path)
 
     @pytest.mark.parametrize("sizes, count, fault", [
         ([True, True], 1, "set_sizes"), ([1, 1], True, "modalities")])
     def test_boolean_sizes_rejected(self, tmp_path, sizes, count, fault):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"set_sizes": sizes, "modalities": count,
-                                    "scores": [{"a": 0, "b": 1, "s": [0.9]}]}))
+        path = _columns_file(tmp_path / "bad.json", [0], [1], [[0.9]], sizes, count)
         with pytest.raises(FileFormatError, match=fault):
             read_instance(path)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_score_rejected(self, tmp_path, bad):
-        path = tmp_path / "bad.json"
-        path.write_text('{"set_sizes": [1, 1], "modalities": 1, '
-                        '"scores": [{"a": 0, "b": 1, "s": [%s]}]}' % bad)
+        path = _columns_file(tmp_path / "bad.json", [0], [1], [[float(bad.lower())]])
+        assert bad in path.read_text()
         with pytest.raises(FileFormatError, match=r"scores\[0\]"):
             read_instance(path)
+
+    @pytest.mark.parametrize("a, b, s, message", [
+        ([2 ** 64], [1], [[0.9]], "entry 0: indices must satisfy"),
+        ([0, 2 ** 63], [1, 2 ** 64], [[0.9, 0.9]], "entry 1: indices must satisfy"),
+        ([0, -2 ** 64], [1, 1], [[0.9, 0.9]], "entry 1: indices must satisfy"),
+        ([0], [1], [[10 ** 400]], "s: int too large"),
+    ], ids=["a-2**64", "b-2**64", "a-negative", "score-past-float"])
+    def test_number_past_machine_range_exits_one(self, tmp_path, capsys, a, b, s, message):
+        # such numbers leave int64 or float64; the file is refused, with no crash
+        path = _columns_file(tmp_path / "bad.json", a, b, s, (1, 1, 1))
+        with pytest.raises(FileFormatError, match=message):
+            read_instance(path)
+        assert main(["solve", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, b, s, message", [
+        (0, [1], [[0.9]], "a: expected a list"),
+        ([0], {"0": 1}, [[0.9]], "b: expected a list"),
+        ([0, True], [1], [[0.9, 0.9]], "a and b: expected one length, got 2 and 1"),
+        ([0], [1], [[0.9]], "s: expected 2 lists, one per modality"),
+        ([0], [1], [0.9, 0.8], "s: expected 2 lists, one per modality"),
+        ([0], [1], {"0": [0.9]}, "s: expected 2 lists, one per modality"),
+        ([0, 0.5], [1, 2], [[0.9, True], [0.8]], "s[1]: expected 2 scores, got 1"),
+    ], ids=["a-not-list", "b-not-list", "lengths-differ", "s-one-list", "s-numbers",
+            "s-object", "s-column-short"])
+    def test_shape_fault_rejected(self, tmp_path, a, b, s, message):
+        # shape faults come before any entry's fault (here a bool, a float or
+        # a bool score)
+        path = _columns_file(tmp_path / "bad.json", a, b, s, (1, 1, 1), 2)
+        with pytest.raises(FileFormatError) as err:
+            read_instance(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_synth_files_golden_bytes(self, tmp_path):
         # pins the byte layout of written instance and truth files
@@ -137,7 +181,7 @@ class TestInstanceIO:
                    for name in ("instance_000.json", "truth_000.json")}
         assert digests == {
             "instance_000.json":
-                "4b55da665be21a310b33d6f5af41ecbc16f2292fb412a14bfe5930cfe9c66048",
+                "9306253980c03ddff74ce5065e99c9fce2ab98c448c7d3f7cb78fa46285c45bf",
             "truth_000.json":
                 "175d0e143955c7547c57d81bbb9667fc08315badfd41c76c3716a6a5315291a7",
         }
@@ -167,12 +211,20 @@ class TestInstanceIO:
         assert len(inst.pairs) == len(pairs)
         path = tmp_path / "instance.json"
         write_instance(inst, path, metadata)
-        payload = {"set_sizes": [2, 2, 1], "modalities": count,
-                   "scores": [{"a": a, "b": b, "s": s}
-                              for (a, b), s in zip(pairs, scores)]}
+        columns = {"a": [a for a, _ in pairs], "b": [b for _, b in pairs],
+                   "s": [[row[k] for row in scores] for k in range(count)]}
+        # the head in json.dumps(..., indent=2)'s layout, each column on one line
+        head = {"set_sizes": [2, 2, 1], "modalities": count, **{k: k for k in columns}}
         if metadata is not None:
-            payload["metadata"] = metadata
-        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+            head["metadata"] = metadata
+        text = json.dumps(head, indent=2)
+        for name in "ab":
+            text = text.replace(f'"{name}": "{name}"',
+                                f'"{name}": {json.dumps(columns[name])}')
+        text = text.replace('"s": "s"', '"s": [\n' + ",\n".join(
+            f"    {json.dumps(column)}" for column in columns["s"]) + "\n  ]")
+        assert path.read_text() == text + "\n"
+        assert json.loads(text) == {**head, **columns}
         assert read_instance(path) == inst
 
     def test_write_to_stdout(self, instance_file, capsys):
@@ -187,21 +239,23 @@ class TestInstanceIO:
         assert path.read_bytes() == inst_path.read_bytes()
 
     def test_lowest_faulty_entry_named(self, tmp_path):
-        # column checks must still report the first faulty entry, whatever its fault
-        good = {"a": 0, "b": 1, "s": [0.9]}
-        faulty = [{"a": 0, "b": 2, "s": [True]}, {"a": 0.0, "b": 2, "s": [0.9]},
-                  {"a": 2, "b": 1, "s": [0.9]}, {"a": 0, "b": 2}, good]
-        path = tmp_path / "bad.json"
+        # column checks must still report the first faulty entry, whatever its
+        # fault: entry 0 is sound and every later entry holds one fault
+        good = (0, 1, [0.9, 0.8])
+        faulty = [(0, 2, [0.9, True]), (0.0, 2, [0.9, 0.8]), (2, 1, [0.9, 0.8]),
+                  (0, False, [0.9, 0.8]), (0, 2, ["0.9", 0.8]), good]
+        expected = ["s: expected a number", "a and b must be integers",
+                    "indices must satisfy", "a and b must be integers",
+                    "s: expected a number", "duplicate pair \\(0, 1\\)"]
         for i in range(len(faulty)):
-            scores = [good] + faulty[i:] + faulty[:i]
-            path.write_text(json.dumps(
-                {"set_sizes": [1, 1, 1], "modalities": 1, "scores": scores}))
-            with pytest.raises(FileFormatError, match=r"scores\[1\]: ") as err:
+            entries = [good] + faulty[i:] + faulty[:i]
+            path = _columns_file(tmp_path / "bad.json", [e[0] for e in entries],
+                                 [e[1] for e in entries],
+                                 [[e[2][k] for e in entries] for k in range(2)],
+                                 (1, 1, 1), 2)
+            with pytest.raises(FileFormatError, match=r"entry 1: ") as err:
                 read_instance(path)
-            expected = ["s: expected 1 numbers", "a and b must be integers",
-                        "indices must satisfy", "missing field 's'",
-                        "duplicate pair \\(0, 1\\)"][i]
-            assert err.match(expected)
+            assert err.match(expected[i])
 
     def test_truth_empty_set_sizes_rejected(self, tmp_path):
         path = tmp_path / "truth.json"
@@ -269,12 +323,10 @@ class TestSolveCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_invalid_instance_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1,
-            "scores": [{"a": 0, "b": 1, "s": [2.0]}]}))
+        path = _columns_file(tmp_path / "bad.json", [0], [1], [[2.0]])
         assert main(["solve", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: scores[0] for pair (0, 1): scores must lie in [0, 1]\n")
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
