@@ -9,10 +9,11 @@ and the entries follow Instance's canonical order, so equal instances write
 equal bytes.  write_instance prints the head (set_sizes, modalities,
 metadata) with json.dumps(..., indent=2) and each column on one line with
 one json.dumps of its list, which runs json's C encoder.  read_instance
-checks whole columns with numpy, reports the lowest faulty entry, stores
-entry i as row i, and leaves the score values to Instance.  Files in the
-per-entry layout of earlier versions ("scores": [{"a", "b", "s"}, ...])
-are rejected for their unknown field.
+checks with numpy, on whole columns, only what JSON can get wrong (shapes,
+integer a and b within int64, numbers in s) and passes entry i to Instance
+as row i, which checks the values; a faulty file is reported at its lowest
+faulty entry.  Files in the per-entry layout of earlier versions
+("scores": [{"a", "b", "s"}, ...]) are rejected for their unknown field.
 Result files carry clusters, both objective values, the convergence flag, a
 continuation trace and the SolverConfig fields; runs are byte-reproducible
 for a fixed seed.
@@ -119,14 +120,16 @@ def _wrong_type(values: list, types: frozenset) -> np.ndarray:
     return ~np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
 
 
-def _score_arrays(a: Any, b: Any, s: Any, m: int, count: int,
-                  where: str) -> tuple[np.ndarray, np.ndarray]:
-    """The columns as (P, 2) pairs and (P, K) scores, entry i as row i.
+def _score_arrays(a: Any, b: Any, s: Any, count: int,
+                  where: str) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The columns as (P, 2) pairs and (P, K) scores, entry i as row i, up
+    to the lowest entry that JSON got wrong, and that entry's fault or None.
 
-    Shape faults are reported first.  After that each check runs on whole
-    columns of the entries before the first fault found so far, so a
-    faulty file is reported at its lowest faulty entry, with that entry's
-    first fault in the order: integer a/b, range, s, duplicate pair.
+    Shape faults are raised at once.  After that each check runs on whole
+    columns of the entries before the first fault found so far, so the
+    fault returned is the lowest entry's first in the order: integer a/b,
+    a/b within int64, number s.  The values (range, order, repeats, scores
+    in [0, 1]) are Instance's to check.
     """
     for name, column in (("a", a), ("b", b)):
         if not isinstance(column, list):
@@ -147,24 +150,19 @@ def _score_arrays(a: Any, b: Any, s: Any, m: int, count: int,
         nonlocal n, fault
         hits = np.flatnonzero(bad)
         if hits.size:
-            n, fault = int(hits[0]), message
+            n, fault = int(hits[0]), f"{where}: entry {hits[0]}: {message}"
 
     narrow(_wrong_type(a, INDEX_TYPES) | _wrong_type(b, INDEX_TYPES),
            "a and b must be integers")
-    ia, ib = np.array(a[:n]), np.array(b[:n])   # not int64 if an index is past it
-    narrow((ia < 0) | (ia >= ib) | (ib >= m), f"indices must satisfy 0 <= a < b < {m}")
+    pairs = np.array((a[:n], b[:n]))   # int64 unless an index is past it
+    if pairs.dtype != np.int64:
+        pairs = np.array((a[:n], b[:n]), dtype=object)   # Python ints, compared exactly
+        narrow(((pairs < -2 ** 63) | (pairs >= 2 ** 63)).any(axis=0),
+               "a and b must fit in int64")
     narrow(np.logical_or.reduce([_wrong_type(column[:n], NUMBER_TYPES) for column in s]),
            "s: expected a number in each modality")
-    pairs = np.column_stack((ia[:n], ib[:n])).astype(np.int64)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))   # stable: repeats sort after the first
-    ordered = pairs[order]
-    repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
-    if repeats.size:   # the last check: no later one can move the fault
-        n = int(repeats.min())
-        fault = "duplicate pair (%d, %d)" % tuple(pairs[n])
-    if n < len(a):
-        raise FileFormatError(f"{where}: entry {n}: {fault}")
-    return pairs, np.array(s, dtype=np.float64).T
+    scores = np.array([column[:n] for column in s], dtype=np.float64)
+    return pairs[:, :n].T.astype(np.int64), scores.T, fault
 
 
 def _set_sizes(sizes, path: str | Path) -> list[int]:
@@ -181,14 +179,17 @@ def read_instance(path: str | Path) -> Instance:
     count = data["modalities"]
     if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
-    try:   # Instance checks the values; its messages name entry i as scores[i]
-        pairs, scores = _score_arrays(data["a"], data["b"], data["s"], sum(sizes), count,
-                                      str(path))
-        return Instance(tuple(sizes), count, pairs, scores)
+    try:   # Instance checks the values of the entries before the file's own fault
+        pairs, scores, fault = _score_arrays(data["a"], data["b"], data["s"], count,
+                                             str(path))
+        instance = Instance(tuple(sizes), count, pairs, scores)
     except OverflowError as exc:   # a score past float64
         raise FileFormatError(f"{path}: s: {exc}") from exc
     except InvalidInstanceError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    if fault is not None:
+        raise FileFormatError(fault)
+    return instance
 
 
 def write_instance(instance: Instance, path: str | Path | None,

@@ -78,14 +78,16 @@ class InfeasibleAssignmentError(ValueError):
 class Instance:
     """A multiway association problem.
 
-    Row i of ``pairs`` names an unordered element pair (a, b), a != b, and
-    row i of ``scores`` holds its score in each modality, each in [0, 1]:
-    1 is maximal similarity, 0 maximal dissimilarity, 0.5 carries no
-    information.  Pairs without a row default to 0.5 across sets and 0
-    within a set; self-similarity is always 1.  Construction canonicalises
-    to read-only arrays, int64 (P, 2) ``pairs`` with a < b sorted by (a, b)
-    and float64 (P, K) ``scores``: repeated rows merge and rows equal to
-    their pair's default are dropped, so equal problems compare equal.
+    Row i of ``pairs`` names an element pair (a, b) with 0 <= a < b < m,
+    no pair in two rows, and row i of ``scores`` holds its score in each
+    modality, each in [0, 1]: 1 is maximal similarity, 0 maximal
+    dissimilarity, 0.5 carries no information.  Pairs without a row default
+    to 0.5 across sets and 0 within a set; self-similarity is always 1.
+    Faulty rows raise InvalidInstanceError at the lowest one, "entry i",
+    with its first fault in the order indices, scores, duplicate pair.
+    Construction stores read-only arrays, int64 (P, 2) ``pairs`` sorted by
+    (a, b) and float64 (P, K) ``scores``, and drops rows equal to their
+    pair's default, so equal problems compare equal.
     """
 
     set_sizes: tuple[int, ...]
@@ -114,29 +116,26 @@ class Instance:
         pairs, scores = pairs.astype(np.int64), scores.astype(np.float64)
         m = sum(sizes)
         a, b = pairs.T
-        for bad, fault in (
-                (a == b, "self-pairs may not carry stored scores"),
-                ((pairs < 0).any(axis=1) | (pairs >= m).any(axis=1),
-                 f"index out of range for {m} elements"),
-                (~((scores >= 0.0) & (scores <= 1.0)).all(axis=1),   # NaN fails both
-                 "scores must lie in [0, 1]")):
-            if bad.any():
-                i = np.flatnonzero(bad)[0]
-                raise InvalidInstanceError(f"scores[{i}] for pair ({a[i]}, {b[i]}): {fault}")
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((hi, lo))
-        lo, hi, scores = lo[order], hi[order], scores[order]
-        repeat = np.r_[False, (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
-        conflict = repeat & np.r_[False, (scores[1:] != scores[:-1]).any(axis=1)]
-        if conflict.any():
-            i = np.flatnonzero(conflict)[0]
-            raise InvalidInstanceError(
-                f"pair ({lo[i]}, {hi[i]}): stored twice with conflicting scores")
+        order = np.lexsort((b, a))   # stable: a repeat sorts after the row it repeats
+        ordered = pairs[order]
+        repeat = np.zeros(len(pairs), bool)
+        repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
+        faults = ((a < 0) | (a >= b) | (b >= m),
+                  ~((scores >= 0.0) & (scores <= 1.0)).all(axis=1),   # NaN fails both
+                  repeat)
+        bad = faults[0] | faults[1] | faults[2]
+        if bad.any():
+            i = int(np.argmax(bad))
+            kind = [fault[i] for fault in faults].index(True)
+            raise InvalidInstanceError(f"entry {i}: " + (
+                f"indices must satisfy 0 <= a < b < {m}", "scores must lie in [0, 1]",
+                f"duplicate pair ({a[i]}, {b[i]})")[kind])
+        pairs, scores = ordered, scores[order]
         set_index = self.set_index
-        default = np.where(set_index[lo] == set_index[hi],
+        default = np.where(set_index[pairs[:, 0]] == set_index[pairs[:, 1]],
                            WITHIN_SET_DEFAULT, CROSS_SET_DEFAULT)
-        keep = ~repeat & (scores != default[:, None]).any(axis=1)
-        pairs, scores = np.column_stack((lo[keep], hi[keep])), scores[keep]
+        keep = (scores != default[:, None]).any(axis=1)
+        pairs, scores = pairs[keep], scores[keep]
         for arr in (pairs, scores):
             arr.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
@@ -166,9 +165,6 @@ class Instance:
         idx = np.repeat(np.arange(self.num_sets), self.set_sizes)
         idx.setflags(write=False)
         return idx
-
-    def set_of(self, a: int) -> int:
-        return int(self.set_index[a])
 
 
 @dataclass(frozen=True, eq=False)

@@ -226,7 +226,7 @@ class TestBaselines:
         inst, _ = generate(SynthConfig(universe_size=2, num_sets=3, rng_seed=0))
         cons, full = consecutive_matches(inst).match, all_pairs_matches(inst).match
         for a, b in np.argwhere(cons):
-            assert abs(inst.set_of(a) - inst.set_of(b)) == 1
+            assert abs(inst.set_index[a] - inst.set_index[b]) == 1
         assert (cons <= full).all() and (cons != full).any()
 
     def test_threshold_baseline_can_break_consistency(self):

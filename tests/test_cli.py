@@ -99,8 +99,8 @@ class TestInstanceIO:
 
     def test_score_out_of_range_names_entry(self, tmp_path):
         path = _columns_file(tmp_path / "bad.json", [0], [1], [[1.5]])
-        with pytest.raises(FileFormatError, match=r"scores\[0\] for pair \(0, 1\): "
-                                                  r"scores must lie in \[0, 1\]"):
+        with pytest.raises(FileFormatError,
+                           match=r"entry 0: scores must lie in \[0, 1\]$"):
             read_instance(path)
 
     def test_unordered_pair_rejected(self, tmp_path):
@@ -135,13 +135,13 @@ class TestInstanceIO:
     def test_nonfinite_score_rejected(self, tmp_path, bad):
         path = _columns_file(tmp_path / "bad.json", [0], [1], [[float(bad.lower())]])
         assert bad in path.read_text()
-        with pytest.raises(FileFormatError, match=r"scores\[0\]"):
+        with pytest.raises(FileFormatError, match=r"entry 0: scores must lie in \[0, 1\]"):
             read_instance(path)
 
     @pytest.mark.parametrize("a, b, s, message", [
-        ([2 ** 64], [1], [[0.9]], "entry 0: indices must satisfy"),
-        ([0, 2 ** 63], [1, 2 ** 64], [[0.9, 0.9]], "entry 1: indices must satisfy"),
-        ([0, -2 ** 64], [1, 1], [[0.9, 0.9]], "entry 1: indices must satisfy"),
+        ([2 ** 64], [1], [[0.9]], "entry 0: a and b must fit in int64"),
+        ([0, 2 ** 63], [1, 2 ** 64], [[0.9, 0.9]], "entry 1: a and b must fit in int64"),
+        ([0, -2 ** 64], [1, 1], [[0.9, 0.9]], "entry 1: a and b must fit in int64"),
         ([0], [1], [[10 ** 400]], "s: int too large"),
     ], ids=["a-2**64", "b-2**64", "a-negative", "score-past-float"])
     def test_number_past_machine_range_exits_one(self, tmp_path, capsys, a, b, s, message):
@@ -243,10 +243,12 @@ class TestInstanceIO:
         # fault: entry 0 is sound and every later entry holds one fault
         good = (0, 1, [0.9, 0.8])
         faulty = [(0, 2, [0.9, True]), (0.0, 2, [0.9, 0.8]), (2, 1, [0.9, 0.8]),
-                  (0, False, [0.9, 0.8]), (0, 2, ["0.9", 0.8]), good]
+                  (0, False, [0.9, 0.8]), (0, 2, [1.5, 0.8]), (0, 2, ["0.9", 0.8]),
+                  (1, 2, [0.9, float("nan")]), good]
         expected = ["s: expected a number", "a and b must be integers",
                     "indices must satisfy", "a and b must be integers",
-                    "s: expected a number", "duplicate pair \\(0, 1\\)"]
+                    "scores must lie in \\[0, 1\\]", "s: expected a number",
+                    "scores must lie in \\[0, 1\\]", "duplicate pair \\(0, 1\\)"]
         for i in range(len(faulty)):
             entries = [good] + faulty[i:] + faulty[:i]
             path = _columns_file(tmp_path / "bad.json", [e[0] for e in entries],
@@ -256,6 +258,21 @@ class TestInstanceIO:
             with pytest.raises(FileFormatError, match=r"entry 1: ") as err:
                 read_instance(path)
             assert err.match(expected[i])
+
+    @pytest.mark.parametrize("a, b, s", [
+        ([0, 0], [1, 1], [[1.5, 0.9]]),
+        ([0, 0], [1, 2], [[1.5, "x"]]),
+        ([0, 1], [1, 3], [[-0.5, 0.9]]),
+        ([0, True], [1, 2], [[1.5, 0.9]]),
+    ], ids=["then-duplicate", "then-string-score", "then-index-past-m",
+            "then-boolean-index"])
+    def test_score_fault_named_before_later_faults(self, tmp_path, a, b, s):
+        # entry 0's score is out of range and entry 1 holds another fault,
+        # which Instance or the reader finds; entry 0 is named either way
+        path = _columns_file(tmp_path / "bad.json", a, b, s, (1, 1, 1))
+        with pytest.raises(FileFormatError) as err:
+            read_instance(path)
+        assert str(err.value) == f"{path}: entry 0: scores must lie in [0, 1]"
 
     def test_truth_empty_set_sizes_rejected(self, tmp_path):
         path = tmp_path / "truth.json"
@@ -326,7 +343,7 @@ class TestSolveCommand:
         path = _columns_file(tmp_path / "bad.json", [0], [1], [[2.0]])
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: scores[0] for pair (0, 1): scores must lie in [0, 1]\n")
+            f"error: {path}: entry 0: scores must lie in [0, 1]\n")
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1

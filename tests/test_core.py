@@ -13,12 +13,14 @@ from fusematch import (
     InfeasibleAssignmentError,
     Instance,
     InvalidInstanceError,
+    SynthConfig,
     build_modality_matrices,
     canonical_labels,
     check_cycle_consistency,
     check_feasible,
     clusters_from_assignment,
     feasibility_report,
+    generate,
     pairwise_from_assignment,
 )
 from fusematch.core import PairwiseTable
@@ -41,14 +43,15 @@ class TestInstance:
         assert inst.num_elements == 6
         assert inst.set_offsets == (0, 2, 5)
 
-    def test_set_of(self):
-        inst = make_instance(set_sizes=(2, 3, 1))
-        assert [inst.set_of(e) for e in range(6)] == [0, 0, 1, 1, 1, 2]
-
     def test_score_key_canonicalized(self):
-        inst = make_instance(set_sizes=(1, 1), pairs=[(1, 0)], scores=[(0.9,)])
+        # the key must come as a < b; its dtypes are made int64 and float64
+        with pytest.raises(InvalidInstanceError,
+                           match=r"^entry 0: indices must satisfy 0 <= a < b < 2$"):
+            make_instance(set_sizes=(1, 1), pairs=[(1, 0)], scores=[(0.9,)])
+        inst = make_instance(set_sizes=(1, 1), pairs=np.array([(0, 1)], dtype=np.int32),
+                             scores=[(1,)])
         np.testing.assert_array_equal(inst.pairs, [[0, 1]])
-        np.testing.assert_array_equal(inst.scores, [[0.9]])
+        np.testing.assert_array_equal(inst.scores, [[1.0]])
         assert inst.pairs.dtype == np.int64 and inst.scores.dtype == np.float64
 
     def test_score_out_of_range_rejected(self):
@@ -75,14 +78,15 @@ class TestInstance:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_score_rejected(self, bad):
-        with pytest.raises(InvalidInstanceError, match=r"scores\[1\]"):
+        with pytest.raises(InvalidInstanceError,
+                           match=r"^entry 1: scores must lie in \[0, 1\]$"):
             make_instance(set_sizes=(1, 1, 1), pairs=[(0, 1), (1, 2)],
                           scores=[(0.3,), (bad,)])
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(InvalidInstanceError, match="out of range"):
+        with pytest.raises(InvalidInstanceError, match="entry 0: indices must satisfy"):
             make_instance(pairs=[(0, 2)], scores=[(0.9,)])
-        with pytest.raises(InvalidInstanceError, match="out of range"):
+        with pytest.raises(InvalidInstanceError, match="entry 0: indices must satisfy"):
             make_instance(pairs=[(-1, 1)], scores=[(0.9,)])
 
     def test_non_integer_pairs_rejected(self):
@@ -105,23 +109,69 @@ class TestInstance:
         assert all(type(x) is int for x in (*inst.set_sizes, inst.modality_count))
 
     def test_canonical_arrays(self):
-        # rows sorted by (a, b) with a < b, repeats merged, defaults dropped
+        # rows sorted by (a, b), defaults dropped, within and across sets
         inst = make_instance(set_sizes=(2, 2), modality_count=2,
-                             pairs=[(3, 1), (0, 1), (2, 0), (1, 3), (0, 3)],
-                             scores=[(0.2, 0.4), (0.0, 0.0), (0.5, 0.5),
-                                     (0.2, 0.4), (1.0, 0.5)])
+                             pairs=[(1, 3), (0, 1), (0, 2), (0, 3)],
+                             scores=[(0.2, 0.4), (0.0, 0.0), (0.5, 0.5), (1.0, 0.5)])
         np.testing.assert_array_equal(inst.pairs, [[0, 3], [1, 3]])
         np.testing.assert_array_equal(inst.scores, [[1.0, 0.5], [0.2, 0.4]])
         with pytest.raises(ValueError):
             inst.scores[0, 0] = 0.1
         with pytest.raises(ValueError):
             inst.pairs[0, 0] = 1
+        # a reversed row and a repeat, with equal scores or other ones, are refused
+        for last, message in (((3, 1), "indices must satisfy"),
+                              ((1, 3), r"duplicate pair \(1, 3\)")):
+            for repeat in ((0.2, 0.4), (0.3, 0.4)):
+                with pytest.raises(InvalidInstanceError, match=rf"^entry 2: {message}"):
+                    make_instance(set_sizes=(2, 2), modality_count=2,
+                                  pairs=[(1, 3), (0, 2), last],
+                                  scores=[(0.2, 0.4), (1.0, 0.5), repeat])
+
+    @pytest.mark.parametrize("shift", range(3))
+    def test_lowest_faulty_row_named(self, shift):
+        # one row per fault kind after a sound row 0, in every rotation: the
+        # lowest faulty row is named, whatever its kind
+        rows = [((1, 0), (0.9,), "indices must satisfy 0 <= a < b < 3"),
+                ((1, 2), (1.5,), r"scores must lie in \[0, 1\]"),
+                ((0, 1), (0.8,), r"duplicate pair \(0, 1\)")]
+        rows = [((0, 1), (0.9,), "")] + rows[shift:] + rows[:shift]
+        with pytest.raises(InvalidInstanceError, match=rf"^entry 1: {rows[1][2]}$"):
+            make_instance(set_sizes=(1, 1, 1), pairs=[r[0] for r in rows],
+                          scores=[r[1] for r in rows])
+
+    def test_first_fault_of_a_row_named(self):
+        # a row with two faults is named for the first: indices before
+        # scores, scores before a repeat
+        with pytest.raises(InvalidInstanceError, match="entry 1: indices"):
+            make_instance(pairs=[(0, 1), (1, 0)], scores=[(0.9,), (2.0,)])
+        with pytest.raises(InvalidInstanceError, match="entry 1: scores"):
+            make_instance(pairs=[(0, 1), (0, 1)], scores=[(0.9,), (2.0,)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), count=st.integers(1, 3), data=st.data())
+    def test_row_order_is_free_and_faulty_rows_are_named(self, seed, count, data):
+        inst, _ = generate(SynthConfig(universe_size=3, num_sets=3, modality_count=count,
+                                       observe_prob=0.8, outliers_per_run=1,
+                                       noise_sigma=0.2, inconclusive_rate=0.3,
+                                       rng_seed=seed))
+        rows = len(inst.pairs)
+        order = data.draw(st.permutations(range(rows)))
+        pairs, scores = inst.pairs[order], inst.scores[order]
+        assert make_instance(inst.set_sizes, count, pairs, scores) == inst
+        if rows:
+            j = data.draw(st.integers(0, rows - 1))
+            for extra, fault in ((pairs[j, ::-1], "indices must satisfy"),
+                                 (pairs[j], "duplicate pair")):
+                with pytest.raises(InvalidInstanceError, match=f"^entry {rows}: {fault}"):
+                    make_instance(inst.set_sizes, count, np.vstack((pairs, extra)),
+                                  np.vstack((scores, scores[j])))
 
     def test_equality_compares_canonical_arrays(self):
-        a = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 2), (1, 0)],
+        a = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 2), (0, 1)],
                           scores=[(0.9,), (0.1,)])
-        b = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 1), (2, 0), (1, 2)],
-                          scores=[(0.1,), (0.9,), (0.5,)])
+        b = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 1), (1, 2), (0, 2)],
+                          scores=[(0.1,), (0.5,), (0.9,)])
         assert a == b
         assert a != make_instance(set_sizes=(1, 1, 1), pairs=[(0, 2)], scores=[(0.9,)])
         assert a != make_instance(set_sizes=(1, 2))
