@@ -1,19 +1,26 @@
 """Command-line interface and on-disk file formats.
 
 Instance files are JSON objects {"set_sizes", "modalities", "a", "b", "s",
-optional "metadata"} holding the columns of Instance's arrays: entry i is
-the pair (a[i], b[i]), global indices a < b, with score s[k][i] in modality
-k, so a and b are Instance.pairs.T and s is Instance.scores.T.  Pairs whose
-scores equal the default (0.5 across sets, 0 within a set) are not stored,
-and the entries follow Instance's canonical order, so equal instances write
-equal bytes.  write_instance prints the head (set_sizes, modalities,
-metadata) with json.dumps(..., indent=2) and each column on one line with
-one json.dumps of its list, which runs json's C encoder.  read_instance
-checks with numpy, on whole columns, only what JSON can get wrong (shapes,
-integer a and b within int64, numbers in s) and passes entry i to Instance
-as row i, which checks the values; a faulty file is reported at its lowest
-faulty entry.  Files in the per-entry layout of earlier versions
-("scores": [{"a", "b", "s"}, ...]) are rejected for their unknown field.
+optional "metadata"} holding the bytes of Instance's arrays: "a" and "b"
+are each one base64 string (RFC 4648, standard alphabet, padded) of a
+column of Instance.pairs as little-endian int64, and "s" is a list of K
+such strings, s[k] holding modality k's scores as little-endian float64,
+so entry i is the pair (a[i], b[i]), global indices a < b, with score
+s[k][i] in modality k.  Pairs whose scores equal the default (0.5 across
+sets, 0 within a set) are not stored, and the entries follow Instance's
+canonical order, so equal instances write equal bytes.  write_instance is
+one json.dump(..., indent=2).  read_instance checks what the file can get
+wrong (fields, set_sizes, modalities, and per column a base64 string of
+whole 8-byte values, K score columns, one length) and passes the arrays
+to Instance, which checks the values and names the lowest faulty entry.
+Files in a layout of earlier versions are rejected: number lists in "a"
+with "a: expected a base64 string", per-entry "scores" for their unknown
+field.  To look into a file with numpy:
+
+    data = json.loads(Path(path).read_text())
+    a = np.frombuffer(base64.b64decode(data["a"]), "<i8")
+    s0 = np.frombuffer(base64.b64decode(data["s"][0]), "<f8")
+
 Result files carry clusters, both objective values, the convergence flag, a
 continuation trace and the SolverConfig fields; runs are byte-reproducible
 for a fixed seed.
@@ -25,12 +32,13 @@ Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -50,7 +58,6 @@ from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
 INSTANCE_FIELDS = {"set_sizes", "modalities", "a", "b", "s", "metadata"}
-INDEX_TYPES = frozenset({int})           # bool is not an index
 NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
@@ -84,21 +91,12 @@ def _load_json(path: str | Path) -> Any:
         raise FileFormatError(f"{path}: {exc.strerror}") from exc
 
 
-@contextmanager
-def _output(path: str | Path | None) -> Iterator[TextIO]:
-    """Standard output for None, else the file, its parent directories made."""
-    if path is None:
-        yield sys.stdout
-        return
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        yield fh
-
-
 def _dump_json(payload: Any, path: str | Path | None) -> None:
-    with _output(path) as fh:   # streamed: no second copy of the text
-        json.dump(payload, fh, indent=2)
+    """To standard output for None, else to the file, its parent directories made."""
+    if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)   # streamed: no second copy of the text
         fh.write("\n")
 
 
@@ -113,56 +111,17 @@ def _require_fields(data: dict, allowed: set, required: set, where: str) -> None
         raise FileFormatError(f"{where}: missing field '{sorted(missing)[0]}'")
 
 
-def _wrong_type(values: list, types: frozenset) -> np.ndarray:
-    """One flag per value whose exact type is not one of ``types``."""
-    if types.issuperset(map(type, values)):   # no fault: one pass, no flags built
-        return np.zeros(len(values), bool)
-    return ~np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
-
-
-def _score_arrays(a: Any, b: Any, s: Any, count: int,
-                  where: str) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """The columns as (P, 2) pairs and (P, K) scores, entry i as row i, up
-    to the lowest entry that JSON got wrong, and that entry's fault or None.
-
-    Shape faults are raised at once.  After that each check runs on whole
-    columns of the entries before the first fault found so far, so the
-    fault returned is the lowest entry's first in the order: integer a/b,
-    a/b within int64, number s.  The values (range, order, repeats, scores
-    in [0, 1]) are Instance's to check.
-    """
-    for name, column in (("a", a), ("b", b)):
-        if not isinstance(column, list):
-            raise FileFormatError(f"{where}: {name}: expected a list")
-    if len(a) != len(b):
-        raise FileFormatError(f"{where}: a and b: expected one length, "
-                              f"got {len(a)} and {len(b)}")
-    if not isinstance(s, list) or len(s) != count or not all(
-            isinstance(column, list) for column in s):
-        raise FileFormatError(f"{where}: s: expected {count} lists, one per modality")
-    for k, column in enumerate(s):
-        if len(column) != len(a):
-            raise FileFormatError(f"{where}: s[{k}]: expected {len(a)} scores, "
-                                  f"got {len(column)}")
-    n, fault = len(a), None
-
-    def narrow(bad, message: str) -> None:   # bad: one flag per entry before n
-        nonlocal n, fault
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            n, fault = int(hits[0]), f"{where}: entry {hits[0]}: {message}"
-
-    narrow(_wrong_type(a, INDEX_TYPES) | _wrong_type(b, INDEX_TYPES),
-           "a and b must be integers")
-    pairs = np.array((a[:n], b[:n]))   # int64 unless an index is past it
-    if pairs.dtype != np.int64:
-        pairs = np.array((a[:n], b[:n]), dtype=object)   # Python ints, compared exactly
-        narrow(((pairs < -2 ** 63) | (pairs >= 2 ** 63)).any(axis=0),
-               "a and b must fit in int64")
-    narrow(np.logical_or.reduce([_wrong_type(column[:n], NUMBER_TYPES) for column in s]),
-           "s: expected a number in each modality")
-    scores = np.array([column[:n] for column in s], dtype=np.float64)
-    return pairs[:, :n].T.astype(np.int64), scores.T, fault
+def _column(text: Any, dtype: str, where: str) -> np.ndarray:
+    """One base64 column of little-endian 8-byte values, as an array."""
+    if not isinstance(text, str):
+        raise FileFormatError(f"{where}: expected a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error, or a character past ASCII
+        raise FileFormatError(f"{where}: invalid base64") from exc
+    if len(raw) % 8:
+        raise FileFormatError(f"{where}: expected a multiple of 8 bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype)
 
 
 def _set_sizes(sizes, path: str | Path) -> list[int]:
@@ -179,33 +138,37 @@ def read_instance(path: str | Path) -> Instance:
     count = data["modalities"]
     if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
-    try:   # Instance checks the values of the entries before the file's own fault
-        pairs, scores, fault = _score_arrays(data["a"], data["b"], data["s"], count,
-                                             str(path))
-        instance = Instance(tuple(sizes), count, pairs, scores)
-    except OverflowError as exc:   # a score past float64
-        raise FileFormatError(f"{path}: s: {exc}") from exc
+    a, b = (_column(data[name], "<i8", f"{path}: {name}") for name in "ab")
+    if not isinstance(data["s"], list) or len(data["s"]) != count:
+        raise FileFormatError(f"{path}: s: expected {count} base64 strings, "
+                              f"one per modality")
+    scores = [_column(text, "<f8", f"{path}: s[{k}]") for k, text in enumerate(data["s"])]
+    lengths = {"b": len(b), **{f"s[{k}]": len(column) for k, column in enumerate(scores)}}
+    for name, length in lengths.items():
+        if length != len(a):
+            raise FileFormatError(f"{path}: {name}: length {length}, expected "
+                                  f"a's length {len(a)}")
+    try:
+        return Instance(tuple(sizes), count, np.stack((a, b), axis=1),
+                        np.stack(scores, axis=1))
     except InvalidInstanceError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    if fault is not None:
-        raise FileFormatError(fault)
-    return instance
+
+
+def _base64(column: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.asarray(column, dtype).tobytes()).decode("ascii")
 
 
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
-    head = {"set_sizes": list(instance.set_sizes),
-            "modalities": instance.modality_count, "a": []}
+    a, b = instance.pairs.T
+    payload = {"set_sizes": list(instance.set_sizes),
+               "modalities": instance.modality_count,
+               "a": _base64(a, "<i8"), "b": _base64(b, "<i8"),
+               "s": [_base64(column, "<f8") for column in instance.scores.T]}
     if metadata is not None:
-        head["metadata"] = metadata
-    # the first '"a": []' is the top-level one: only metadata, after it, could hold another
-    head_text, _, tail_text = json.dumps(head, indent=2).partition('"a": []')
-    # json.dumps without an indent runs json's C encoder; json.dump to a file would not
-    a, b = instance.pairs.T.tolist()
-    s = ",".join("\n    " + json.dumps(column) for column in instance.scores.T.tolist())
-    with _output(path) as fh:
-        fh.writelines((head_text, '"a": ', json.dumps(a), ',\n  "b": ', json.dumps(b),
-                       ',\n  "s": [', s, "\n  ]", tail_text, "\n"))
+        payload["metadata"] = metadata
+    _dump_json(payload, path)
 
 
 def read_truth(path: str | Path) -> GroundTruth:
