@@ -85,9 +85,11 @@ class Instance:
     to 0.5 across sets and 0 within a set; self-similarity is always 1.
     Faulty rows raise InvalidInstanceError at the lowest one, "entry i",
     with its first fault in the order indices, scores, duplicate pair.
-    Construction stores read-only arrays, int64 (P, 2) ``pairs`` sorted by
+    Construction stores read-only copies, int64 (P, 2) ``pairs`` sorted by
     (a, b) and float64 (P, K) ``scores``, and drops rows equal to their
-    pair's default, so equal problems compare equal.
+    pair's default, so equal problems compare equal.  Rows are sorted only
+    when they arrive out of (a, b) order; ``generate`` and the file reader
+    hand them over in order.
     """
 
     set_sizes: tuple[int, ...]
@@ -113,16 +115,25 @@ class Instance:
             raise InvalidInstanceError(
                 f"expected (P, 2) integer pairs and (P, {count}) numeric scores, "
                 f"got shapes {pairs.shape} and {scores.shape}")
-        pairs, scores = pairs.astype(np.int64), scores.astype(np.float64)
+        pairs = pairs.astype(np.int64, copy=False)
+        scores = scores.astype(np.float64, copy=False)
         m = sum(sizes)
-        a, b = pairs.T
-        order = np.lexsort((b, a))   # stable: a repeat sorts after the row it repeats
-        ordered = pairs[order]
-        repeat = np.zeros(len(pairs), bool)
-        repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
-        faults = ((a < 0) | (a >= b) | (b >= m),
-                  ~((scores >= 0.0) & (scores <= 1.0)).all(axis=1),   # NaN fails both
-                  repeat)
+        a, b = pairs[:, 0], pairs[:, 1]
+        # a * m + b orders sound rows as (a, b) does, one key per pair.  Only
+        # rows with an index out of range can wrap past int64 (silently, as
+        # array arithmetic does) or share a key with another pair, and such
+        # a row is named before any repeat its key could fake after it.
+        key = a * m + b
+        in_order = bool((key[1:] > key[:-1]).all())   # sorted, and no row repeats
+        repeat = np.zeros(len(key), bool)
+        if not in_order:
+            order = np.argsort(key, kind="stable")   # a repeat sorts after its row
+            ordered = key[order]
+            repeat[order[1:]] = ordered[1:] == ordered[:-1]
+        out_of_range = np.zeros(len(key), bool)
+        for column in scores.T:
+            out_of_range |= ~((column >= 0.0) & (column <= 1.0))   # NaN fails both
+        faults = ((a < 0) | (a >= b) | (b >= m), out_of_range, repeat)
         bad = faults[0] | faults[1] | faults[2]
         if bad.any():
             i = int(np.argmax(bad))
@@ -130,12 +141,21 @@ class Instance:
             raise InvalidInstanceError(f"entry {i}: " + (
                 f"indices must satisfy 0 <= a < b < {m}", "scores must lie in [0, 1]",
                 f"duplicate pair ({a[i]}, {b[i]})")[kind])
-        pairs, scores = ordered, scores[order]
         set_index = self.set_index
-        default = np.where(set_index[pairs[:, 0]] == set_index[pairs[:, 1]],
-                           WITHIN_SET_DEFAULT, CROSS_SET_DEFAULT)
-        keep = (scores != default[:, None]).any(axis=1)
-        pairs, scores = pairs[keep], scores[keep]
+        default = np.where(set_index[a] == set_index[b], WITHIN_SET_DEFAULT,
+                           CROSS_SET_DEFAULT)
+        keep = np.zeros(len(key), bool)
+        for column in scores.T:
+            keep |= column != default
+        # one gather, mask or copy per array: the instance shares no memory with
+        # the caller, and int64 and float64 input is copied only here
+        if not in_order:
+            rows = order[keep[order]]
+            pairs, scores = pairs[rows], scores[rows]
+        elif keep.all():
+            pairs, scores = pairs.copy(), scores.copy()
+        else:
+            pairs, scores = pairs[keep], scores[keep]
         for arr in (pairs, scores):
             arr.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)

@@ -58,14 +58,19 @@ def _fuse(instance: Instance) -> tuple[np.ndarray, float]:
     """``abar`` and ``frob_const`` = sum_k ||S_k||_F^2 from the stored pairs:
     defaults give abar -K on the diagonal, K within a set, 0 across sets, and
     frob_const K per diagonal entry and K/4 per unstored ordered cross-set
-    pair; a stored pair's entries are K - 2 sum_k s_k, adding 2 sum_k s_k^2."""
+    pair; a stored pair's entries are K - 2 sum_k s_k, adding 2 sum_k s_k^2.
+    The modality sum runs in order k = 0, ..., K-1, as the dense stack's
+    ``mats.sum(axis=0)`` does, so abar matches it bit for bit at every K."""
     m, count = instance.num_elements, instance.modality_count
-    set_index = instance.set_index
-    abar = np.where(set_index[:, None] == set_index[None, :], float(count), 0.0)
-    abar[np.arange(m), np.arange(m)] = -float(count)
+    abar = np.zeros((m, m))
+    for offset, size in zip(instance.set_offsets, instance.set_sizes):
+        abar[offset:offset + size, offset:offset + size] = count
+    np.fill_diagonal(abar, -float(count))
     (a, b), scores = instance.pairs.T, instance.scores
-    fused = count - 2.0 * scores.sum(axis=1)
-    abar[np.concatenate((a, b)), np.concatenate((b, a))] = np.concatenate((fused, fused))
+    fused = count - 2.0 * sum(scores.T[1:], scores[:, 0])
+    abar[a, b] = fused
+    abar[b, a] = fused
+    set_index = instance.set_index
     cross_entries = m * m - sum(s * s for s in instance.set_sizes)
     stored_cross = 2 * int((set_index[a] != set_index[b]).sum())
     frob_const = (count * (m + 0.25 * (cross_entries - stored_cross))

@@ -11,6 +11,7 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,17 @@ class TestInstanceIO:
         inst_path, _, instance, _ = instance_file
         loaded = read_instance(inst_path)
         assert loaded == instance
+
+    def test_instance_copies_read_arrays(self, instance_file):
+        # a read instance's read-only arrays, in order, passed on to Instance:
+        # no sort or filter copies them, and the new instance still keeps its own
+        inst_path, _, _, _ = instance_file
+        loaded = read_instance(inst_path)
+        again = Instance(loaded.set_sizes, loaded.modality_count, loaded.pairs, loaded.scores)
+        assert again == loaded
+        for stored, given in ((again.pairs, loaded.pairs), (again.scores, loaded.scores)):
+            assert not stored.flags.writeable and not given.flags.writeable
+            assert not np.shares_memory(stored, given)
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_generated_instances_roundtrip(self, tmp_path, count):

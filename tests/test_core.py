@@ -148,24 +148,91 @@ class TestInstance:
         with pytest.raises(InvalidInstanceError, match="entry 1: scores"):
             make_instance(pairs=[(0, 1), (0, 1)], scores=[(0.9,), (2.0,)])
 
+    @pytest.mark.parametrize("pairs, scores, message", [
+        ([(0, 1), (0, 3), (1, 2)], [0.9, 0.9, 0.9],
+         "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([(0, 1), (0, 2), (1, 2)], [0.9, 1.5, 0.9], r"entry 1: scores must lie in \[0, 1\]"),
+        ([(0, 1), (0, 2), (0, 2)], [0.9, 0.8, 0.9], r"entry 2: duplicate pair \(0, 2\)"),
+        # a * m + b of an out-of-range row equals or passes the next sound
+        # row's key, or equals the one before it
+        ([(0, 1), (0, 5), (1, 2)], [0.9, 0.9, 0.9],
+         "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([(0, 1), (0, 6), (1, 2)], [0.9, 0.9, 0.9],
+         "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([(0, 1), (1, 2), (0, 5)], [0.9, 0.9, 0.9],
+         "entry 2: indices must satisfy 0 <= a < b < 3"),
+        ([(-1, 4), (0, 1)], [0.9, 0.9], "entry 0: indices must satisfy 0 <= a < b < 3"),
+        ([(0, 5), (1, 2), (1, 2)], [0.9, 0.9, 0.9],
+         "entry 0: indices must satisfy 0 <= a < b < 3"),
+        # a * m + b wraps past int64
+        ([(0, 2 ** 63 - 1)], [0.9], "entry 0: indices must satisfy 0 <= a < b < 3"),
+        ([(0, 1), (2 ** 63 - 1, 2 ** 63 - 1)], [0.9, 0.9],
+         "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([(0, 1), (2 ** 62, 2 ** 63 - 1), (1, 2)], [0.9, 0.9, 0.9],
+         "entry 1: indices must satisfy 0 <= a < b < 3"),
+    ], ids=["index", "score", "duplicate", "key-equal", "key-past",
+            "key-equal-before", "negative-a", "before-duplicate", "b-int64-max", "a-int64-max",
+            "key-wraps"])
+    def test_faults_named_in_ordered_tables(self, pairs, scores, message):
+        # rows already in (a, b) order, where no sort runs unless a key repeats
+        with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+            make_instance(set_sizes=(1, 1, 1), pairs=np.array(pairs, dtype=np.int64),
+                          scores=[(s,) for s in scores])
+
+    @pytest.mark.parametrize("pairs", [(), np.empty((0, 2), dtype=np.int64)])
+    def test_empty_table(self, pairs):
+        inst = make_instance(set_sizes=(2, 1), modality_count=2, pairs=pairs,
+                             scores=np.empty((0, 2)))
+        assert inst.pairs.shape == (0, 2) and inst.scores.shape == (0, 2)
+        assert inst.pairs.dtype == np.int64 and not inst.pairs.flags.writeable
+        assert inst == make_instance(set_sizes=(2, 1), modality_count=2)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 1, 2, 3, 4], [3, 0, 2, 1]],
+                             ids=["in-order", "in-order-with-default", "shuffled"])
+    def test_instance_owns_its_arrays(self, order):
+        # the stored arrays are read-only copies, whatever path construction
+        # takes; the caller's arrays stay writeable and unchanged
+        table = [((0, 2), (0.9, 0.1)), ((0, 3), (0.2, 0.3)), ((1, 2), (0.5, 0.7)),
+                 ((1, 3), (1.0, 0.0)), ((2, 3), (0.0, 0.0))]   # the last at its default
+        pairs = np.array([table[i][0] for i in order], dtype=np.int64)
+        scores = np.array([table[i][1] for i in order])
+        given = pairs.copy(), scores.copy()
+        inst = make_instance(set_sizes=(2, 2), modality_count=2, pairs=pairs,
+                             scores=scores)
+        np.testing.assert_array_equal(inst.pairs, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        for stored, caller, before in zip((inst.pairs, inst.scores), (pairs, scores),
+                                          given):
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, caller)
+            assert caller.flags.writeable
+            np.testing.assert_array_equal(caller, before)
+
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 31 - 1), count=st.integers(1, 3), data=st.data())
-    def test_row_order_is_free_and_faulty_rows_are_named(self, seed, count, data):
+    @given(seed=st.integers(0, 2 ** 31 - 1), count=st.integers(1, 3), in_order=st.booleans(),
+           data=st.data())
+    def test_row_order_is_free_and_faulty_rows_are_named(self, seed, count, in_order, data):
         inst, _ = generate(SynthConfig(universe_size=3, num_sets=3, modality_count=count,
                                        observe_prob=0.8, outliers_per_run=1,
                                        noise_sigma=0.2, inconclusive_rate=0.3,
                                        rng_seed=seed))
         rows = len(inst.pairs)
-        order = data.draw(st.permutations(range(rows)))
+        order = (list(range(rows)) if in_order
+                 else data.draw(st.permutations(range(rows))))
         pairs, scores = inst.pairs[order], inst.scores[order]
         assert make_instance(inst.set_sizes, count, pairs, scores) == inst
         if rows:
             j = data.draw(st.integers(0, rows - 1))
+            at = data.draw(st.sampled_from((j + 1, rows)))   # right after row j, or last
             for extra, fault in ((pairs[j, ::-1], "indices must satisfy"),
                                  (pairs[j], "duplicate pair")):
-                with pytest.raises(InvalidInstanceError, match=f"^entry {rows}: {fault}"):
-                    make_instance(inst.set_sizes, count, np.vstack((pairs, extra)),
-                                  np.vstack((scores, scores[j])))
+                with pytest.raises(InvalidInstanceError, match=f"^entry {at}: {fault}"):
+                    make_instance(inst.set_sizes, count,
+                                  np.insert(pairs, at, extra, axis=0),
+                                  np.insert(scores, at, scores[j], axis=0))
+            faulty = scores.copy()
+            faulty[j, -1] = 1.5
+            with pytest.raises(InvalidInstanceError, match=f"^entry {j}: scores must lie"):
+                make_instance(inst.set_sizes, count, pairs, faulty)
 
     def test_equality_compares_canonical_arrays(self):
         a = make_instance(set_sizes=(1, 1, 1), pairs=[(0, 2), (0, 1)],

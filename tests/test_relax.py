@@ -269,6 +269,11 @@ def _corpus():
         for seed in range(3):
             yield generate(SynthConfig(universe_size=4, num_sets=3, modality_count=3,
                                        observe_prob=0.8, rng_seed=seed, **knobs))[0]
+    # from K = 8 a row-wise sum of the scores leaves the modality order
+    for count in (8, 9, 12):
+        for seed in range(2):
+            yield generate(SynthConfig(universe_size=6, num_sets=4, modality_count=count,
+                                       noise_sigma=0.3, rng_seed=seed))[0]
     yield generate(SynthConfig(universe_size=5, num_sets=1, rng_seed=0))[0]   # one set
     yield Instance(set_sizes=(1,), modality_count=2)                          # one element
     # stored within-set scores, unsorted rows and a row at its default
