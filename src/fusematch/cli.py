@@ -8,8 +8,11 @@ such strings, s[k] holding modality k's scores as little-endian float64,
 so entry i is the pair (a[i], b[i]), global indices a < b, with score
 s[k][i] in modality k.  Pairs whose scores equal the default (0.5 across
 sets, 0 within a set) are not stored, and the entries follow Instance's
-canonical order, so equal instances write equal bytes.  write_instance is
-one json.dump(..., indent=2).  read_instance checks what the file can get
+canonical order, so equal instances write equal bytes.  write_instance
+writes the bytes of json.dump(..., indent=2) plus a newline, with the
+base64 columns spliced in unescaped (their alphabet needs no JSON escape);
+it encodes every field before it opens the file, so a failed encode
+creates or changes no file.  read_instance checks what the file can get
 wrong (fields, set_sizes, modalities, and per column a base64 string of
 whole 8-byte values, K score columns, one length) and passes the arrays
 to Instance, which checks the values and names the lowest faulty entry.
@@ -155,20 +158,38 @@ def read_instance(path: str | Path) -> Instance:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _base64(column: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(np.asarray(column, dtype).tobytes()).decode("ascii")
+def _base64(column: np.ndarray, dtype: str) -> bytes:
+    return base64.b64encode(np.asarray(column, dtype).tobytes())
+
+
+def _member(value: Any) -> bytes:
+    """value as json.dump(..., indent=2) writes it as a member of the top-level
+    object: its text indented one more level (a JSON string holds no raw newline)."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ").encode("ascii")
 
 
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
+    """Write the bytes of json.dump(fields, indent=2) plus a newline.  The
+    base64 columns are spliced in as they are: their alphabet needs no JSON
+    escape.  Every part of the text is built before the file is opened, so
+    metadata that JSON cannot encode raises without creating or changing a
+    file; the parts are written in turn, not joined into a second copy."""
     a, b = instance.pairs.T
-    payload = {"set_sizes": list(instance.set_sizes),
-               "modalities": instance.modality_count,
-               "a": _base64(a, "<i8"), "b": _base64(b, "<i8"),
-               "s": [_base64(column, "<f8") for column in instance.scores.T]}
+    scores = b'",\n    "'.join(_base64(column, "<f8") for column in instance.scores.T)
+    parts = [b'{\n  "set_sizes": ', _member(list(instance.set_sizes)),
+             b',\n  "modalities": ', _member(instance.modality_count),
+             b',\n  "a": "', _base64(a, "<i8"), b'",\n  "b": "', _base64(b, "<i8"),
+             b'",\n  "s": [\n    "', scores, b'"\n  ]']
     if metadata is not None:
-        payload["metadata"] = metadata
-    _dump_json(payload, path)
+        parts += [b',\n  "metadata": ', _member(metadata)]
+    parts.append(b"\n}\n")
+    if path is None:
+        sys.stdout.write(b"".join(parts).decode("ascii"))
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 def read_truth(path: str | Path) -> GroundTruth:

@@ -8,7 +8,7 @@ import json
 import math
 import struct
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +268,11 @@ class TestInstanceIO:
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("metadata", [
         None, {}, {"seed": 3, "note": None, "sigma": 0.15,
-                   "generator": {"flip_rate": 1e-05, "sizes": [2, 2], "rng_seed": None}}])
+                   "generator": {"flip_rate": 1e-05, "sizes": [2, 2], "rng_seed": None}},
+        {"note": "caf\u00e9 \u2211 \U0001f600", "\u00e9t\u00e9": ["\u00fc"]},
+        {"text": "two\nlines, \"quoted\", back\\slash", "tab\t": "\\n"},
+        {"empty": {"list": [], "object": {}}, "both": [[], {}, [[]], [{}]]},
+        {"runs": [{"seed": 1, "tags": ["a", "b"]}, {"seed": 2, "nested": {"x": [1]}}]}])
     @pytest.mark.parametrize("stored", [True, False])
     def test_write_matches_json_reference(self, tmp_path, count, metadata, stored):
         # within-set rows (0, 1) and (2, 3), cross-set rows, floats with long reprs;
@@ -296,6 +300,43 @@ class TestInstanceIO:
             reference["metadata"] = metadata
         assert path.read_text() == json.dumps(reference, indent=2) + "\n"
         assert read_instance(path) == inst
+
+    def test_write_matches_json_reference_at_scale(self, tmp_path, capsys):
+        # the io-large shape (m = 502, about 100,000 stored pairs, K = 2) with
+        # synth's metadata, so the splice is pinned on a multi-megabyte file
+        cfg = SynthConfig(universe_size=100, num_sets=5, modality_count=2,
+                          noise_sigma=0.15, inconclusive_rate=0.15, flip_rate=0.05,
+                          outliers_per_run=2, rng_seed=1)
+        instance, _ = generate(cfg)
+        assert instance.num_elements == 502
+        metadata = {"seed": 1, "generator": asdict(cfg)}
+        path = tmp_path / "instance.json"
+        write_instance(instance, path, metadata)
+        a, b = instance.pairs.T
+        reference = {"set_sizes": list(instance.set_sizes), "modalities": 2,
+                     "a": base64.b64encode(a.astype("<i8").tobytes()).decode(),
+                     "b": base64.b64encode(b.astype("<i8").tobytes()).decode(),
+                     "s": [base64.b64encode(column.astype("<f8").tobytes()).decode()
+                           for column in instance.scores.T],
+                     "metadata": metadata}
+        text = json.dumps(reference, indent=2) + "\n"
+        assert path.read_bytes() == text.encode("ascii")
+        write_instance(instance, None, metadata)
+        assert capsys.readouterr().out == text
+
+    def test_unencodable_metadata_writes_nothing(self, instance_file, tmp_path, capsys):
+        inst_path, _, instance, _ = instance_file
+        path = tmp_path / "new" / "instance.json"
+        with pytest.raises(TypeError):
+            write_instance(instance, path, {"x": object()})
+        assert not path.parent.exists()
+        before = inst_path.read_bytes()
+        with pytest.raises(TypeError):
+            write_instance(instance, inst_path, {"x": object()})
+        assert inst_path.read_bytes() == before
+        with pytest.raises(TypeError):
+            write_instance(instance, None, {"x": object()})
+        assert capsys.readouterr().out == ""
 
     def test_write_to_stdout(self, instance_file, capsys):
         inst_path, _, instance, _ = instance_file
