@@ -24,9 +24,13 @@ field.  To look into a file with numpy:
     a = np.frombuffer(base64.b64decode(data["a"]), "<i8")
     s0 = np.frombuffer(base64.b64decode(data["s"][0]), "<f8")
 
-Result files carry clusters, both objective values, the convergence flag, a
-continuation trace and the SolverConfig fields; runs are byte-reproducible
-for a fixed seed.
+A result file is either a labelling, {"clusters"} alone, of which check
+tests only feasibility, or a complete result as solve and oracle write it:
+every field of RESULT_FIELDS, every StageRecord field in each trace stage,
+and a config of SolverConfig's fields (OracleConfig's with the oracle's
+empty trace, which is converged), of which check recomputes every value.
+Any other set of fields is rejected, naming the first missing one.  Runs
+are byte-reproducible for a fixed seed.
 
 Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
 1 error.
@@ -64,10 +68,8 @@ INSTANCE_FIELDS = {"set_sizes", "modalities", "a", "b", "s", "metadata"}
 NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
+STAGE_FIELDS = {f.name for f in fields(StageRecord)}
 TRUTH_FIELDS = {"set_sizes", "labels"}
-# required in a trace entry; StageRecord's other fields are optional, since
-# older result files lack them
-TRACE_FIELDS = {"d", "inner_iterations", "objective"}
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 STAGE_RTOL = 1e-6  # check: a converged solve's last-stage objective vs its relaxed value
 
@@ -237,40 +239,44 @@ def read_result(path: str | Path) -> dict:
             isinstance(c, list) and all(type(x) is int for x in c)
             for c in clusters):
         raise FileFormatError(f"{path}: clusters: expected lists of integers")
-    if any(type(data[k]) not in NUMBER_TYPES
-           for k in ("relaxed_value", "frobenius_value") if k in data):
+    if len(data) == 1:   # a labelling; anything more is a complete result
+        return data
+    _require_fields(data, RESULT_FIELDS, RESULT_FIELDS, str(path))
+    if any(type(data[k]) not in NUMBER_TYPES for k in ("relaxed_value", "frobenius_value")):
         raise FileFormatError(f"{path}: objective values must be numbers")
-    if type(data.get("converged", False)) is not bool:
+    if type(data["converged"]) is not bool:
         raise FileFormatError(f"{path}: converged: expected true or false")
-    if type(data.get("config", {})) is not dict:
+    if type(data["config"]) is not dict:
         raise FileFormatError(f"{path}: config: expected an object")
-    trace = data.get("trace", [])
+    trace = data["trace"]
     if not isinstance(trace, list):
         raise FileFormatError(f"{path}: trace: expected a list")
     for i, stage in enumerate(trace):
-        _require_fields(stage, {f.name for f in fields(StageRecord)}, TRACE_FIELDS,
-                        f"{path}: trace[{i}]")
+        _require_fields(stage, STAGE_FIELDS, STAGE_FIELDS, f"{path}: trace[{i}]")
         steps = stage["inner_iterations"]
         if (type(stage["d"]) not in NUMBER_TYPES or type(steps) is not int or steps < 0
                 or type(stage["objective"]) not in NUMBER_TYPES):
             raise FileFormatError(f"{path}: trace[{i}]: expected numbers d and objective "
                                   f"and a nonnegative integer inner_iterations")
-        if stage.get("stop", STOP_REASONS[0]) not in STOP_REASONS:
+        if stage["stop"] not in STOP_REASONS:
             raise FileFormatError(f"{path}: trace[{i}]: stop: expected one of "
                                   f"{', '.join(STOP_REASONS)}")
         for count in ("merges", "fills"):
-            value = stage.get(count, 0)
-            if type(value) is not int or value < 0:
+            if type(stage[count]) is not int or stage[count] < 0:
                 raise FileFormatError(f"{path}: trace[{i}]: {count}: expected a "
                                       f"nonnegative integer")
-    if trace:   # a trace comes from solve, so config holds SolverConfig fields
-        config = data.get("config", {})
-        _require_fields(config, {f.name for f in fields(SolverConfig)}, set(),
-                        f"{path}: config")
-        try:
-            SolverConfig(**config)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: config: {exc}") from exc
+    # a trace comes from solve, so config holds SolverConfig fields; an empty
+    # one from oracle, which always converges and writes OracleConfig fields
+    if not trace and not data["converged"]:
+        raise FileFormatError(f"{path}: converged: expected true with an empty "
+                              f"(oracle) trace")
+    config_type = SolverConfig if trace else OracleConfig
+    _require_fields(data["config"], {f.name for f in fields(config_type)}, set(),
+                    f"{path}: config")
+    try:
+        config_type(**data["config"])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: config: {exc}") from exc
     return data
 
 
@@ -289,10 +295,10 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
     step, and a fill raises each row at most once, so m rows a step.  A
     result that is not converged must also have run every weight, since
     the repair runs only after the last one."""
-    trace = result.get("trace", [])
+    trace = result["trace"]
     if not trace:
         return None
-    cap = SolverConfig(**result.get("config", {})).max_inner_iters
+    cap = SolverConfig(**result["config"]).max_inner_iters
     m = instance.num_elements
     weights = list(penalty_weights(instance.modality_count))
     for i, stage in enumerate(trace):
@@ -305,14 +311,14 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
         steps = stage["inner_iterations"]
         if steps > cap:
             return f"{where}: inner_iterations {steps} exceeds max_inner_iters {cap}"
-        if "stop" in stage and (stage["stop"] == "max_iters") != (steps == cap):
+        if (stage["stop"] == "max_iters") != (steps == cap):
             return (f"{where}: stop {stage['stop']!r} with {steps} of "
                     f"max_inner_iters {cap} inner iterations")
         for count, per_step in (("merges", m // 2), ("fills", m)):
-            if stage.get(count, 0) > steps * per_step:
+            if stage[count] > steps * per_step:
                 return (f"{where}: {count} {stage[count]} with {steps} inner "
                         f"iterations, at most {per_step} a step")
-    if result.get("converged") is False and len(trace) < len(weights):
+    if not result["converged"] and len(trace) < len(weights):
         return (f"{path}: trace[{len(trace) - 1}]: not converged after {len(trace)} of "
                 f"the schedule's {len(weights)} penalty weights; the repair runs only "
                 f"after the last")
@@ -434,29 +440,27 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 1
     # feasible by the line above, and one-hot labels are cycle consistent by construction
     # (tests/test_core.py::TestCycleConsistency::test_random_assignments_are_cycle_consistent)
-    error = _trace_error(result, instance, args.result)
-    if error:
-        print(error)
-        return 1
-    if "frobenius_value" in result:
+    if len(result) > 1:   # a complete result: check every number it reports
+        error = _trace_error(result, instance, args.result)
+        if error:
+            print(error)
+            return 1
         reported, value = result["frobenius_value"], frobenius_objective(
             assignment.entries, instance)
         if not _agree(reported, value, VALUE_RTOL):
             print(f"frobenius_value {reported!r} does not match the recomputed {value!r}")
             return 1
-    # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
-    trace = result.get("trace") or [{"d": 0.0}]
-    last_objective = trace[-1].get("objective") if result.get("converged") is True else None
-    if "relaxed_value" in result or last_objective is not None:
-        value = relaxed_objective(assignment.entries, build_relaxation(instance),
-                                  trace[-1]["d"])
-        reported = result.get("relaxed_value", value)
+        # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
+        trace = result["trace"]
+        reported, value = result["relaxed_value"], relaxed_objective(
+            assignment.entries, build_relaxation(instance), trace[-1]["d"] if trace else 0.0)
         if not _agree(reported, value, VALUE_RTOL):
             print(f"relaxed_value {reported!r} does not match the recomputed {value!r}")
             return 1
         # a converged solve's last stage ends within BINARY_TOL of its binary output
-        if last_objective is not None and not _agree(last_objective, value, STAGE_RTOL):
-            print(f"{args.result}: trace[{len(trace) - 1}]: objective {last_objective!r} "
+        last = trace[-1]["objective"] if trace and result["converged"] else None
+        if last is not None and not _agree(last, value, STAGE_RTOL):
+            print(f"{args.result}: trace[{len(trace) - 1}]: objective {last!r} "
                   f"is not the converged solve's relaxed value {value!r}")
             return 1
     print("ok: clusters are feasible and cycle consistent")
@@ -528,7 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FileFormatError, InvalidInstanceError, InfeasibleAssignmentError,
-            InstanceTooLargeError, ValueError) as exc:
+            InstanceTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -458,6 +458,16 @@ class TestSolveCommand:
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_one(self, instance_file, tmp_path, capsys):
+        # the result's directory would be a regular file: an error line, no traceback
+        inst_path, _, _, _ = instance_file
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "result.json"
+        assert main(["solve", str(inst_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "File exists" in captured.err
+        assert captured.out == ""
+
 
 class TestOracleCommand:
     def test_oracle_matches_solver_on_clean_instance(self, tmp_path, capsys):
@@ -498,6 +508,15 @@ class TestSynthCommand:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    def test_out_is_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["synth", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "File exists" in captured.err
+        assert captured.out == ""
+        assert out.read_text() == ""
+
     def test_writes_instances_and_truths(self, tmp_path, capsys):
         out_dir = tmp_path / "corpus"
         code = main(["synth", "--out", str(out_dir), "--universe-size", "3",
@@ -512,13 +531,18 @@ class TestSynthCommand:
         assert len(truth.labels) == inst.num_elements
 
 
+def _stage(**fields) -> dict:
+    """A trace stage of the given fields, with stop, merges and fills filled
+    in (as "tol", 0 and 0) where not given."""
+    return {"stop": "tol", "merges": 0, "fills": 0, **fields}
+
+
 def _past_schedule(result: dict) -> None:
-    # stages on the doubling schedule up to d = 0.01 * 2^24, 25 in all; with
-    # no relaxed value and no convergence claim, nothing else ties down the
-    # last d
+    # stages on the doubling schedule up to d = 0.01 * 2^24, 25 in all, with
+    # no convergence claim; the trace check names the first stage past the
+    # schedule before the relaxed value is recomputed at the last d
     trace = result["trace"]
     trace.extend(dict(trace[-1], d=trace[0]["d"] * 2.0 ** i) for i in range(len(trace), 25))
-    del result["relaxed_value"]
     result["converged"] = False
 
 
@@ -610,28 +634,28 @@ class TestCheckCommand:
         ("trace", {"d": 1.0}, "trace: expected a list"),
         ("trace", [{"d": 1.0, "inner_iterations": 3, "objective": 0.5, "bogus": 1}],
          "trace[0]: unknown field 'bogus'"),
-        ("trace", [{"d": 1.0, "objective": 0.5}], "trace[0]: missing field 'inner_iterations'"),
-        ("trace", [{"d": "1", "inner_iterations": 3, "objective": 0.5}], "trace[0]: expected"),
-        ("trace", [{"d": 1.0, "inner_iterations": -1, "objective": 0.5}], "trace[0]: expected"),
-        ("trace", [{"d": 1.0, "inner_iterations": 2.0, "objective": 0.5}], "trace[0]: expected"),
-        ("trace", [{"d": 1.0, "inner_iterations": True, "objective": 0.5}], "trace[0]: expected"),
-        ("trace", [{"d": 1.0, "inner_iterations": 3, "objective": None}], "trace[0]: expected"),
+        ("trace", [_stage(d=1.0, objective=0.5)], "trace[0]: missing field 'inner_iterations'"),
+        ("trace", [_stage(d="1", inner_iterations=3, objective=0.5)], "trace[0]: expected"),
+        ("trace", [_stage(d=1.0, inner_iterations=-1, objective=0.5)], "trace[0]: expected"),
+        ("trace", [_stage(d=1.0, inner_iterations=2.0, objective=0.5)], "trace[0]: expected"),
+        ("trace", [_stage(d=1.0, inner_iterations=True, objective=0.5)], "trace[0]: expected"),
+        ("trace", [_stage(d=1.0, inner_iterations=3, objective=None)], "trace[0]: expected"),
         ("trace", [7], "trace[0]: expected a JSON object"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "stop": "done"}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, stop="done")],
          "trace[0]: stop: expected one of tol, stall, max_iters"),
         ("config", {"max_elements": 12}, "config: unknown field 'max_elements'"),
         ("config", {"max_inner_iters": 0}, "config: max_inner_iters must be at least 1"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": -1}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, merges=-1)],
          "trace[0]: merges: expected a nonnegative integer"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": 1.0}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, merges=1.0)],
          "trace[0]: merges: expected a nonnegative integer"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "merges": True}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, merges=True)],
          "trace[0]: merges: expected a nonnegative integer"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "fills": -1}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, fills=-1)],
          "trace[0]: fills: expected a nonnegative integer"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "fills": 1.0}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, fills=1.0)],
          "trace[0]: fills: expected a nonnegative integer"),
-        ("trace", [{"d": 0.01, "inner_iterations": 3, "objective": 0.5, "fills": False}],
+        ("trace", [_stage(d=0.01, inner_iterations=3, objective=0.5, fills=False)],
          "trace[0]: fills: expected a nonnegative integer"),
     ])
     def test_malformed_result_fields_rejected(self, tmp_path, capsys, field, value, message):
@@ -649,7 +673,7 @@ class TestCheckCommand:
         (lambda res: res["trace"][0].update(inner_iterations=999999),
          "trace[0]: inner_iterations 999999 exceeds max_inner_iters 1000"),
         (lambda res: res["trace"].insert(
-            0, {"d": 7.0, "inner_iterations": 3, "objective": 0.5}),
+            0, _stage(d=7.0, inner_iterations=3, objective=0.5)),
          "trace[0]: d 7.0 is not the schedule's 0.01"),
         (lambda res: res["trace"][-1].update(d=-1.0),
          "trace[-1]: d -1.0 is not the schedule's"),
@@ -698,21 +722,53 @@ class TestCheckCommand:
         assert main(["check", str(out), str(inst_path)]) == 0
         assert "ok:" in capsys.readouterr().out
 
-    def test_trace_without_merges_passes(self, tmp_path, capsys):
-        # result files written before the merge count existed still check
+    @pytest.mark.parametrize("forge, message", [
+        *[(lambda res, name=name: res["trace"][0].pop(name),
+           f"trace[0]: missing field '{name}'") for name in ("stop", "merges", "fills")],
+        *[(lambda res, name=name: res.pop(name), f"missing field '{name}'")
+          for name in sorted(fusematch.cli.RESULT_FIELDS)],
+        # each of these two printed "ok:" while a partial result was accepted
+        (lambda res: (res["trace"][-1].update(objective=123456.0), res.pop("converged")),
+         "missing field 'converged'"),
+        (lambda res: (res["trace"][0].update(inner_iterations=1000),
+                      res["trace"][0].pop("stop")),
+         "trace[0]: missing field 'stop'"),
+    ], ids=["stop", "merges", "fills", *sorted(fusematch.cli.RESULT_FIELDS),
+            "last-objective-unconverged", "iterations-at-cap-without-stop"])
+    def test_partial_result_rejected(self, tmp_path, capsys, forge, message):
+        # a result file holds clusters alone or every field, each stage every
+        # StageRecord field; the error names the first missing one
         inst_path, out = self._solve_to_file(tmp_path)
         data = json.loads(out.read_text())
-        assert all(stage.pop("merges") >= 0 for stage in data["trace"])
+        forge(data)
         out.write_text(json.dumps(data))
-        assert main(["check", str(out), str(inst_path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(out), str(inst_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: {message}\n"
+        assert captured.out == ""
 
-    def test_trace_without_fills_passes(self, tmp_path, capsys):
-        # result files written before the fill count existed still check
-        inst_path, out = self._solve_to_file(tmp_path)
+    @pytest.mark.parametrize("forge, message", [
+        (lambda res: res.update(converged=False),
+         "converged: expected true with an empty (oracle) trace"),
+        (lambda res: res.update(config={"max_inner_iters": 1000, "rng_seed": 0}),
+         "config: unknown field 'max_inner_iters'"),
+        (lambda res: res.update(config={"max_elements": 0}),
+         "config: max_elements must be at least 1"),
+    ], ids=["unconverged", "solver-config", "max-elements-zero"])
+    def test_forged_oracle_result_fails(self, tmp_path, capsys, forge, message):
+        # an oracle result (empty trace) always converges and holds OracleConfig's
+        # fields; each of these used to pass with "ok"
+        instance, _ = generate(SynthConfig(universe_size=2, num_sets=3, rng_seed=3))
+        inst_path, out = tmp_path / "instance.json", tmp_path / "oracle.json"
+        write_instance(instance, inst_path)
+        assert main(["oracle", str(inst_path), "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert all(stage.pop("fills") >= 0 for stage in data["trace"])
+        forge(data)
         out.write_text(json.dumps(data))
-        assert main(["check", str(out), str(inst_path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(out), str(inst_path)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: {message}\n"
 
     def test_missing_element_fails(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)
