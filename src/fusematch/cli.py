@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -58,14 +59,13 @@ from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F40
                    InvalidInstanceError, check_cycle_consistency, check_feasible,
                    pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
-from .relax import build_relaxation, frobenius_objective, relaxed_objective
+from .relax import _frobenius, build_relaxation, relaxed_objective
 from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
                      penalty_weights, solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
 INSTANCE_FIELDS = {"set_sizes", "modalities", "a", "b", "s", "metadata"}
-NUMBER_TYPES = frozenset({int, float})   # bool is not a number
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 STAGE_FIELDS = {f.name for f in fields(StageRecord)}
@@ -103,6 +103,12 @@ def _dump_json(payload: Any, path: str | Path | None) -> None:
     with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
         json.dump(payload, fh, indent=2)   # streamed: no second copy of the text
         fh.write("\n")
+
+
+def _finite(value: Any) -> bool:
+    """A JSON number (bool is not one) that float64 holds: json reads 1e400,
+    Infinity and NaN as non-finite floats, which no relative bound holds."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _require_fields(data: dict, allowed: set, required: set, where: str) -> None:
@@ -242,8 +248,8 @@ def read_result(path: str | Path) -> dict:
     if len(data) == 1:   # a labelling; anything more is a complete result
         return data
     _require_fields(data, RESULT_FIELDS, RESULT_FIELDS, str(path))
-    if any(type(data[k]) not in NUMBER_TYPES for k in ("relaxed_value", "frobenius_value")):
-        raise FileFormatError(f"{path}: objective values must be numbers")
+    if not all(_finite(data[k]) for k in ("relaxed_value", "frobenius_value")):
+        raise FileFormatError(f"{path}: objective values must be numbers and finite")
     if type(data["converged"]) is not bool:
         raise FileFormatError(f"{path}: converged: expected true or false")
     if type(data["config"]) is not dict:
@@ -254,10 +260,10 @@ def read_result(path: str | Path) -> dict:
     for i, stage in enumerate(trace):
         _require_fields(stage, STAGE_FIELDS, STAGE_FIELDS, f"{path}: trace[{i}]")
         steps = stage["inner_iterations"]
-        if (type(stage["d"]) not in NUMBER_TYPES or type(steps) is not int or steps < 0
-                or type(stage["objective"]) not in NUMBER_TYPES):
-            raise FileFormatError(f"{path}: trace[{i}]: expected numbers d and objective "
-                                  f"and a nonnegative integer inner_iterations")
+        if (not _finite(stage["d"]) or type(steps) is not int or steps < 0
+                or not _finite(stage["objective"])):
+            raise FileFormatError(f"{path}: trace[{i}]: expected finite numbers d and "
+                                  f"objective and a nonnegative integer inner_iterations")
         if stage["stop"] not in STOP_REASONS:
             raise FileFormatError(f"{path}: trace[{i}]: stop: expected one of "
                                   f"{', '.join(STOP_REASONS)}")
@@ -445,28 +451,25 @@ def cmd_check(args: argparse.Namespace) -> int:
         if error:
             print(error)
             return 1
-        reported, value = result["frobenius_value"], frobenius_objective(
-            assignment.entries, instance)
-        if not _agree(reported, value, VALUE_RTOL):
-            print(f"frobenius_value {reported!r} does not match the recomputed {value!r}")
-            return 1
+        data, trace, U = build_relaxation(instance), result["trace"], assignment.entries
         # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
-        trace = result["trace"]
-        reported, value = result["relaxed_value"], relaxed_objective(
-            assignment.entries, build_relaxation(instance), trace[-1]["d"] if trace else 0.0)
-        if not _agree(reported, value, VALUE_RTOL):
-            print(f"relaxed_value {reported!r} does not match the recomputed {value!r}")
-            return 1
+        relaxed = relaxed_objective(U, data, trace[-1]["d"] if trace else 0.0)
+        for field, value in (("frobenius_value", _frobenius(U, data, instance.modality_count)),
+                             ("relaxed_value", relaxed)):
+            if not _agree(result[field], value, VALUE_RTOL):
+                print(f"{field} {result[field]!r} does not match the recomputed {value!r}")
+                return 1
         # a converged solve's last stage ends within BINARY_TOL of its binary output
         last = trace[-1]["objective"] if trace and result["converged"] else None
-        if last is not None and not _agree(last, value, STAGE_RTOL):
+        if last is not None and not _agree(last, relaxed, STAGE_RTOL):
             print(f"{args.result}: trace[{len(trace) - 1}]: objective {last!r} "
-                  f"is not the converged solve's relaxed value {value!r}")
+                  f"is not the converged solve's relaxed value {relaxed!r}")
             return 1
     print("ok: clusters are feasible and cycle consistent")
     return 0
 
 
+@functools.cache   # one per process: each parser is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusematch",

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts
-from .relax import build_relaxation, frobenius_objective
+from .relax import _frobenius, build_relaxation
 
 # Two objective values within this distance count as tied; ties go to the
 # first assignment in enumeration order.
@@ -118,8 +118,8 @@ def solve_exact(instance: Instance,
     and prunes subtrees whose admissible lower bound is not below the best
     leaf seen.  Returns the first assignment in enumeration order within
     TIE_TOL of the minimum: every leaf before it lies above it, so the
-    pruning never discards it.  The returned value is recomputed from
-    scratch as a cross-check on the incremental arithmetic.
+    pruning never discards it.  The returned value is recomputed from the
+    whole assignment as a cross-check on the incremental arithmetic.
     """
     cfg = config if config is not None else OracleConfig()
     _check_cap(instance, cfg)
@@ -172,7 +172,7 @@ def solve_exact(instance: Instance,
     rec(0, 0.0)
     pairsum, first = next((v, lab) for v, lab in improving if v <= best_value + TIE_TOL)
     assignment = Assignment(first, instance.set_sizes)
-    value = frobenius_objective(assignment.entries, instance)
+    value = _frobenius(assignment.entries, data, instance.modality_count)
     incremental = data.frob_const + pairsum
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(

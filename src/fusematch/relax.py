@@ -7,8 +7,8 @@ term collapses to <U U^T, abar> plus a constant, where abar fuses all
 modalities into one signed affinity matrix.  The relaxation optimizes that
 inner product over nonnegative U with row sums at most one, adding penalty
 terms that vanish exactly on feasible binary points.  It is the one function
-the solver descends and reports: ``build_relaxation`` keeps abar's
-off-diagonal only and moves the diagonal's constant into ``frob_const``.
+the solver descends and reports.  ``build_relaxation`` is the one place that
+fuses an instance; the exact objective is read from its data too.
 """
 
 from __future__ import annotations
@@ -54,39 +54,30 @@ class RelaxationData:
         return self.abar.shape[0]
 
 
-def _fuse(instance: Instance) -> tuple[np.ndarray, float]:
-    """``abar`` and ``frob_const`` = sum_k ||S_k||_F^2 from the stored pairs:
-    defaults give abar -K on the diagonal, K within a set, 0 across sets, and
-    frob_const K per diagonal entry and K/4 per unstored ordered cross-set
-    pair; a stored pair's entries are K - 2 sum_k s_k, adding 2 sum_k s_k^2.
-    The modality sum runs in order k = 0, ..., K-1, as the dense stack's
-    ``mats.sum(axis=0)`` does, so abar matches it bit for bit at every K."""
+def build_relaxation(instance: Instance) -> RelaxationData:
+    """Fuse an instance's stored pairs into relaxation data.  Defaults give
+    abar 0 on the diagonal, K within a set and 0 across sets, and frob_const
+    K/4 per unstored ordered cross-set pair; a stored pair's entries are
+    K - 2 sum_k s_k, adding 2 sum_k s_k^2.  The modality sum runs in order
+    k = 0, ..., K-1, as the dense stack's ``mats.sum(axis=0)`` does, so
+    abar's off-diagonal matches it bit for bit at every K."""
     m, count = instance.num_elements, instance.modality_count
     abar = np.zeros((m, m))
     for offset, size in zip(instance.set_offsets, instance.set_sizes):
         abar[offset:offset + size, offset:offset + size] = count
-    np.fill_diagonal(abar, -float(count))
+    np.fill_diagonal(abar, 0.0)
     (a, b), scores = instance.pairs.T, instance.scores
     fused = count - 2.0 * sum(scores.T[1:], scores[:, 0])
     abar[a, b] = fused
     abar[b, a] = fused
+    abar.setflags(write=False)
     set_index = instance.set_index
     cross_entries = m * m - sum(s * s for s in instance.set_sizes)
     stored_cross = 2 * int((set_index[a] != set_index[b]).sum())
-    frob_const = (count * (m + 0.25 * (cross_entries - stored_cross))
+    frob_const = (0.25 * count * (cross_entries - stored_cross)
                   + 2.0 * float((scores ** 2).sum()))
-    return abar, frob_const
-
-
-def build_relaxation(instance: Instance) -> RelaxationData:
-    """Fuse an instance's stored pairs into relaxation data."""
-    abar, frob_const = _fuse(instance)
-    np.fill_diagonal(abar, 0.0)
-    abar.setflags(write=False)
-    return RelaxationData(
-        abar=abar,
-        frob_const=frob_const - instance.modality_count * instance.num_elements,
-        set_offsets=instance.set_offsets, set_index=instance.set_index)
+    return RelaxationData(abar=abar, frob_const=frob_const,
+                          set_offsets=instance.set_offsets, set_index=set_index)
 
 
 def _check_u(U: np.ndarray, m: int) -> np.ndarray:
@@ -149,15 +140,19 @@ def frobenius_from_mats(U: np.ndarray, mats: np.ndarray) -> float:
     return float(((gram[None, :, :] - mats) ** 2).sum())
 
 
-def frobenius_objective(U: np.ndarray, instance: Instance) -> float:
-    """Exact association objective sum_k ||U U^T - S_k||_F^2 at any U.
-
-    With G = U U^T and abar = K - 2 sum_k S_k, expanding the squares gives
-    frob_const + <G, abar> + K (||G||^2 - sum G); the last term vanishes on
-    binary assignments, where G is 0/1.
-    """
-    U = _check_u(U, instance.num_elements)
-    abar, frob_const = _fuse(instance)
+def _frobenius(U: np.ndarray, data: RelaxationData, count: int) -> float:
+    """``frobenius_objective`` from the relaxation data of K = ``count``
+    modalities.  With G = U U^T it is frob_const + <G, abar> + K (||G||^2
+    - sum G + m - ||U||_F^2), where K (m - ||U||_F^2) is the -K diagonal that
+    ``RelaxationData`` folds into frob_const; the K term vanishes on binary
+    feasible U, where G is 0/1 and every row norm is 1."""
+    U = _check_u(U, data.num_elements)
     gram = U @ U.T
-    return (frob_const + float((gram * abar).sum()) + instance.modality_count
-            * (float((gram * gram).sum()) - float(gram.sum())))
+    return (data.frob_const + float((gram * data.abar).sum())
+            + count * (float((gram * gram).sum()) - float(gram.sum())
+                       + data.num_elements - float(np.trace(gram))))
+
+
+def frobenius_objective(U: np.ndarray, instance: Instance) -> float:
+    """Exact association objective sum_k ||U U^T - S_k||_F^2 at any U."""
+    return _frobenius(U, build_relaxation(instance), instance.modality_count)

@@ -39,9 +39,9 @@ from typing import Iterator
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts, feasibility_report
-# relaxed_gradient is not called (pgd_inner forms the gradient from M_d U);
-# perfbench/tracing.py rebinds it, and tests/test_perfbench_contract.py guards it
-from .relax import (RelaxationData, build_relaxation,  # noqa: F401
+# relaxed_gradient and frobenius_objective: not called (see pgd_inner and solve), but
+# perfbench/tracing.py rebinds them and tests/test_perfbench_contract.py guards them
+from .relax import (RelaxationData, _frobenius, build_relaxation,  # noqa: F401
                     frobenius_objective, relaxed_gradient, relaxed_objective,
                     stage_matrix)
 
@@ -414,7 +414,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     cols = _repair(U, data.abar, data.set_index)
     assignment = Assignment(cols.tolist(), instance.set_sizes)
     relaxed_value = relaxed_objective(assignment.entries, data, trace[-1].d)
-    frob_value = frobenius_objective(assignment.entries, instance)
+    frob_value = _frobenius(assignment.entries, data, instance.modality_count)
     return SolverResult(assignment=assignment, relaxed_value=relaxed_value,
                         frobenius_value=frob_value, trace=tuple(trace),
                         converged=converged)

@@ -609,6 +609,26 @@ class TestCheckCommand:
         assert main(["check", str(out), str(inst_path)]) == 1
         assert "must be numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity", "NaN", "1" + "0" * 400],
+                             ids=["1e400", "-1e400", "Infinity", "NaN", "integer-past-float64"])
+    @pytest.mark.parametrize("field", ["frobenius_value", "relaxed_value", "d", "objective"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, field, text):
+        # json reads 1e400 as inf, which made the relative bound of the
+        # recompute inf too, so a forged 1e400 printed "ok:"; an integer past
+        # float64 ended in an OverflowError
+        inst_path, out = self._solve_to_file(tmp_path)
+        data = json.loads(out.read_text())
+        stage = {"d": 0, "objective": len(data["trace"]) - 1}.get(field)
+        (data if stage is None else data["trace"][stage])[field] = "forged"
+        out.write_text(json.dumps(data).replace('"forged"', text))
+        capsys.readouterr()
+        assert main(["check", str(out), str(inst_path)]) == 1
+        captured = capsys.readouterr()
+        where = "" if stage is None else f"trace[{stage}]: "
+        assert captured.err.startswith(f"error: {out}: {where}")
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_boolean_cluster_index_rejected(self, tmp_path, capsys):
         inst_path, out = tmp_path / "instance.json", tmp_path / "result.json"
         write_instance(Instance(set_sizes=(1, 1), modality_count=1), inst_path)

@@ -15,10 +15,12 @@ from fusematch import (
     enumerate_feasible,
     frobenius_objective,
     generate,
+    optimality_gap,
     solve,
     solve_exact,
 )
 from fusematch.oracle import TIE_TOL
+from fusematch.synth import derive_seed
 
 from conftest import random_instance
 
@@ -128,6 +130,26 @@ class TestSolveExact:
             res = solve(inst, SolverConfig(rng_seed=int(rng.integers(2**31))))
             orc = solve_exact(inst)
             assert orc.value <= res.frobenius_value + 1e-9
+
+    def test_equal_labels_give_equal_values(self):
+        # on the paper's outlier sweep (acceptance criterion 2, m = 9 to 12)
+        # solve and solve_exact read the exact objective from their
+        # build_relaxation by one formula, so one labelling gets one float
+        # and a zero gap
+        matched = 0
+        for n_o in range(4):
+            for t in range(50):
+                inst, _ = generate(SynthConfig(
+                    universe_size=3, num_sets=3, modality_count=2, noise_sigma=0.15,
+                    inconclusive_rate=0.15, flip_rate=0.05, outliers_per_run=n_o,
+                    rng_seed=derive_seed(0, n_o, t)))
+                res = solve(inst, SolverConfig(rng_seed=derive_seed(0, n_o, t, 1)))
+                orc = solve_exact(inst)
+                if res.assignment == orc.assignment:
+                    matched += 1
+                    assert res.frobenius_value == orc.value
+                    assert optimality_gap(res.frobenius_value, orc.value) == 0.0
+        assert matched >= 190
 
     def test_first_within_tie_tol_is_the_pruned_result(self, rng):
         # scores from a small grid, with a near-tie 1e-10 below 0.5, put many

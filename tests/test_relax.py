@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from fusematch import (
     generate,
     relaxed_gradient,
     relaxed_objective,
+    solve,
+    solve_exact,
 )
-from fusematch.relax import _fuse, frobenius_from_mats, stage_matrix
+from fusematch import cli, oracle, relax, solver
+from fusematch.relax import frobenius_from_mats, stage_matrix
 from fusematch import build_modality_matrices
 
 from conftest import polarized_curvature, random_feasible_assignment, random_instance
@@ -57,11 +61,10 @@ class TestAggregateMatrix:
         # that constant, -K per element, into frob_const and keeps a zero
         # diagonal
         inst = Instance(set_sizes=(2, 1), modality_count=3)
-        fused, fused_const = _fuse(inst)
-        np.testing.assert_array_equal(np.diag(fused), -3.0)
         data = build_relaxation(inst)
         np.testing.assert_array_equal(np.diag(data.abar), 0.0)
-        assert data.frob_const == fused_const - 3 * 3
+        mats = build_modality_matrices(inst).mats
+        assert data.frob_const == float((mats ** 2).sum()) - 3 * 3
 
     def test_penalty_matrices(self, rng):
         # the penalty bracket against the dense form: column overlap
@@ -326,3 +329,43 @@ class TestFusedDataMatchesDenseStack:
                 expected = frobenius_from_mats(U, mats)
                 assert frobenius_objective(U, inst) == pytest.approx(
                     expected, rel=1e-12, abs=1e-12)
+
+
+class TestOneFusionPerCall:
+    """solve, solve_exact and the check of a complete result fuse their
+    instance once and read the exact objective from that fusion, not from
+    ``frobenius_objective``, which fuses it again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # counted through every module name a caller looks up
+        calls = Counter()
+        for name in ("build_relaxation", "frobenius_objective"):
+            def counted(*args, name=name, original=getattr(relax, name)):
+                calls[name] += 1
+                return original(*args)
+            for module in (relax, solver, oracle, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def _instance():
+        return generate(SynthConfig(universe_size=3, num_sets=3, modality_count=2,
+                                    noise_sigma=0.15, rng_seed=4))[0]
+
+    def test_solve(self, calls):
+        solve(self._instance())
+        assert dict(calls) == {"build_relaxation": 1}
+
+    def test_solve_exact(self, calls):
+        solve_exact(self._instance())
+        assert dict(calls) == {"build_relaxation": 1}
+
+    def test_check_of_a_complete_result(self, calls, tmp_path, capsys):
+        inst_path, out = tmp_path / "instance.json", tmp_path / "result.json"
+        cli.write_instance(self._instance(), inst_path)
+        assert cli.main(["solve", str(inst_path), "--out", str(out)]) == 0
+        calls.clear()
+        assert cli.main(["check", str(out), str(inst_path)]) == 0
+        assert dict(calls) == {"build_relaxation": 1}
