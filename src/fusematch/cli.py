@@ -1,28 +1,31 @@
 """Command-line interface and on-disk file formats.
 
-Instance files are JSON objects {"set_sizes", "modalities", "a", "b", "s",
-optional "metadata"} holding the bytes of Instance's arrays: "a" and "b"
-are each one base64 string (RFC 4648, standard alphabet, padded) of a
-column of Instance.pairs as little-endian int64, and "s" is a list of K
-such strings, s[k] holding modality k's scores as little-endian float64,
-so entry i is the pair (a[i], b[i]), global indices a < b, with score
-s[k][i] in modality k.  Pairs whose scores equal the default (0.5 across
-sets, 0 within a set) are not stored, and the entries follow Instance's
-canonical order, so equal instances write equal bytes.  write_instance
-writes the bytes of json.dump(..., indent=2) plus a newline, with the
-base64 columns spliced in unescaped (their alphabet needs no JSON escape);
-it encodes every field before it opens the file, so a failed encode
-creates or changes no file.  read_instance checks what the file can get
-wrong (fields, set_sizes, modalities, and per column a base64 string of
-whole 8-byte values, K score columns, one length) and passes the arrays
-to Instance, which checks the values and names the lowest faulty entry.
-Files in a layout of earlier versions are rejected: number lists in "a"
-with "a: expected a base64 string", per-entry "scores" for their unknown
-field.  To look into a file with numpy:
+Instance files are JSON objects {"set_sizes", "modalities", "pairs", "s",
+optional "metadata"} holding the bytes of Instance's arrays in hex (RFC 4648
+base16, lowercase): "pairs" is one hex string of the keys a * m + b of
+Instance.pairs as little-endian int64, m the element count, and "s" is a
+list of K such strings, s[k] holding modality k's scores as little-endian
+float64, so entry i is the pair (a, b) = divmod(key[i], m), global indices
+a < b, with score s[k][i] in modality k.  Pairs whose scores equal the
+default (0.5 across sets, 0 within a set) are not stored, and the entries
+follow Instance's canonical order (ascending keys), so equal instances
+write equal bytes.  write_instance writes the bytes of
+json.dump(..., indent=2) plus a newline, with the hex columns spliced in
+unescaped; it encodes the metadata, the only part that can fail, before it
+opens the file, so a failed encode creates or changes no file, and then
+encodes and writes one column at a time.  read_instance checks what the
+file can get wrong (fields, set_sizes, modalities, and per column a hex
+string of whole 8-byte values, K score columns, one length) and passes the
+arrays to Instance, which checks the values and names the lowest faulty
+entry: a negative key, a key of m * m or more, or one with b <= a fails as
+"indices must satisfy 0 <= a < b < m".  Files in a layout of earlier
+versions are rejected by their first unknown field: 'a' for index columns,
+'scores' for per-entry objects.  To look into a file with numpy:
 
     data = json.loads(Path(path).read_text())
-    a = np.frombuffer(base64.b64decode(data["a"]), "<i8")
-    s0 = np.frombuffer(base64.b64decode(data["s"][0]), "<f8")
+    m = sum(data["set_sizes"])
+    a, b = np.divmod(np.frombuffer(bytes.fromhex(data["pairs"]), "<i8"), m)
+    s0 = np.frombuffer(bytes.fromhex(data["s"][0]), "<f8")
 
 A result file is either a labelling, {"clusters"} alone, of which check
 tests only feasibility, or a complete result as solve and oracle write it:
@@ -39,14 +42,14 @@ Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
 from __future__ import annotations
 
 import argparse
-import base64
+import binascii
 import functools
 import json
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -58,14 +61,14 @@ from .bench import (ablation, format_ablation_table, format_gap_table,
 from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F401
                    InvalidInstanceError, check_cycle_consistency, check_feasible,
                    pairwise_from_assignment)
-from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
+from .oracle import InstanceTooLargeError, OracleConfig, _solve_exact
 from .relax import _frobenius, build_relaxation, relaxed_objective
 from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
                      penalty_weights, solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
                     generate)
 
-INSTANCE_FIELDS = {"set_sizes", "modalities", "a", "b", "s", "metadata"}
+INSTANCE_FIELDS = {"set_sizes", "modalities", "pairs", "s", "metadata"}
 RESULT_FIELDS = {"clusters", "relaxed_value", "frobenius_value", "converged",
                  "trace", "config"}
 STAGE_FIELDS = {f.name for f in fields(StageRecord)}
@@ -123,13 +126,13 @@ def _require_fields(data: dict, allowed: set, required: set, where: str) -> None
 
 
 def _column(text: Any, dtype: str, where: str) -> np.ndarray:
-    """One base64 column of little-endian 8-byte values, as an array."""
+    """One hex column of little-endian 8-byte values, as an array."""
     if not isinstance(text, str):
-        raise FileFormatError(f"{where}: expected a base64 string")
+        raise FileFormatError(f"{where}: expected a hex string")
     try:
-        raw = base64.b64decode(text, validate=True)
+        raw = binascii.a2b_hex(text)
     except ValueError as exc:   # binascii.Error, or a character past ASCII
-        raise FileFormatError(f"{where}: invalid base64") from exc
+        raise FileFormatError(f"{where}: invalid hex") from exc
     if len(raw) % 8:
         raise FileFormatError(f"{where}: expected a multiple of 8 bytes, got {len(raw)}")
     return np.frombuffer(raw, dtype)
@@ -149,25 +152,29 @@ def read_instance(path: str | Path) -> Instance:
     count = data["modalities"]
     if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
-    a, b = (_column(data[name], "<i8", f"{path}: {name}") for name in "ab")
-    if not isinstance(data["s"], list) or len(data["s"]) != count:
-        raise FileFormatError(f"{path}: s: expected {count} base64 strings, "
-                              f"one per modality")
-    scores = [_column(text, "<f8", f"{path}: s[{k}]") for k, text in enumerate(data["s"])]
-    lengths = {"b": len(b), **{f"s[{k}]": len(column) for k, column in enumerate(scores)}}
-    for name, length in lengths.items():
-        if length != len(a):
-            raise FileFormatError(f"{path}: {name}: length {length}, expected "
-                                  f"a's length {len(a)}")
+    # each JSON string is dropped from data as soon as it is decoded
+    keys = _column(data.pop("pairs"), "<i8", f"{path}: pairs")
+    pairs = np.empty((len(keys), 2), np.int64)
+    np.divmod(keys, sum(sizes), out=(pairs[:, 0], pairs[:, 1]))
+    texts = data.pop("s")
+    if not isinstance(texts, list) or len(texts) != count:
+        raise FileFormatError(f"{path}: s: expected {count} hex strings, one per modality")
+    scores = np.empty((len(pairs), count))
+    for k in range(count):
+        column = _column(texts[k], "<f8", f"{path}: s[{k}]")
+        texts[k] = None
+        if len(column) != len(pairs):
+            raise FileFormatError(f"{path}: s[{k}]: length {len(column)}, expected "
+                                  f"the length of pairs, {len(pairs)}")
+        scores[:, k] = column
     try:
-        return Instance(tuple(sizes), count, np.stack((a, b), axis=1),
-                        np.stack(scores, axis=1))
+        return Instance(tuple(sizes), count, pairs, scores)
     except InvalidInstanceError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _base64(column: np.ndarray, dtype: str) -> bytes:
-    return base64.b64encode(np.asarray(column, dtype).tobytes())
+def _hex(column: np.ndarray, dtype: str) -> bytes:
+    return binascii.b2a_hex(np.ascontiguousarray(column, dtype))
 
 
 def _member(value: Any) -> bytes:
@@ -176,28 +183,37 @@ def _member(value: Any) -> bytes:
     return json.dumps(value, indent=2).replace("\n", "\n  ").encode("ascii")
 
 
+def _instance_text(instance: Instance, tail: bytes) -> Iterator[bytes]:
+    """The file's text in parts, tail (the encoded metadata member) last;
+    each column is encoded only when its part is asked for, so that writing
+    the parts in turn holds one column at a time."""
+    yield (b'{\n  "set_sizes": ' + _member(list(instance.set_sizes))
+           + b',\n  "modalities": ' + _member(instance.modality_count)
+           + b',\n  "pairs": "')
+    a, b = instance.pairs.T
+    yield _hex(a * instance.num_elements + b, "<i8")
+    for k, column in enumerate(instance.scores.T):
+        yield b'",\n    "' if k else b'",\n  "s": [\n    "'
+        yield _hex(column, "<f8")
+    yield b'"\n  ]' + tail + b"\n}\n"
+
+
 def write_instance(instance: Instance, path: str | Path | None,
                    metadata: dict | None = None) -> None:
     """Write the bytes of json.dump(fields, indent=2) plus a newline.  The
-    base64 columns are spliced in as they are: their alphabet needs no JSON
-    escape.  Every part of the text is built before the file is opened, so
-    metadata that JSON cannot encode raises without creating or changing a
-    file; the parts are written in turn, not joined into a second copy."""
-    a, b = instance.pairs.T
-    scores = b'",\n    "'.join(_base64(column, "<f8") for column in instance.scores.T)
-    parts = [b'{\n  "set_sizes": ', _member(list(instance.set_sizes)),
-             b',\n  "modalities": ', _member(instance.modality_count),
-             b',\n  "a": "', _base64(a, "<i8"), b'",\n  "b": "', _base64(b, "<i8"),
-             b'",\n  "s": [\n    "', scores, b'"\n  ]']
-    if metadata is not None:
-        parts += [b',\n  "metadata": ', _member(metadata)]
-    parts.append(b"\n}\n")
+    hex columns are spliced in as they are: their alphabet needs no JSON
+    escape.  The metadata, the only part that can fail, is encoded before
+    the file is opened, so metadata that JSON cannot encode raises without
+    creating or changing a file; then each column is encoded and written in
+    turn."""
+    tail = b"" if metadata is None else b',\n  "metadata": ' + _member(metadata)
     if path is None:
-        sys.stdout.write(b"".join(parts).decode("ascii"))
+        for part in _instance_text(instance, tail):
+            sys.stdout.write(part.decode("ascii"))
         return
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.writelines(parts)
+        fh.writelines(_instance_text(instance, tail))
 
 
 def read_truth(path: str | Path) -> GroundTruth:
@@ -352,9 +368,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     cfg = OracleConfig(max_elements=args.max_elements)
-    exact = solve_exact(instance, cfg)
+    exact, data = _solve_exact(instance, cfg)
     # written as a converged solve with an empty trace, so relaxed at d = 0
-    relaxed = relaxed_objective(exact.assignment.entries, build_relaxation(instance), 0.0)
+    relaxed = relaxed_objective(exact.assignment.entries, data, 0.0)
     result = SolverResult(assignment=exact.assignment, relaxed_value=relaxed,
                           frobenius_value=exact.value, trace=(), converged=True)
     _dump_json(result_payload(result, asdict(cfg)), args.out)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts
-from .relax import _frobenius, build_relaxation
+from .relax import RelaxationData, _frobenius, build_relaxation
 
 # Two objective values within this distance count as tied; ties go to the
 # first assignment in enumeration order.
@@ -121,6 +121,13 @@ def solve_exact(instance: Instance,
     pruning never discards it.  The returned value is recomputed from the
     whole assignment as a cross-check on the incremental arithmetic.
     """
+    return _solve_exact(instance, config)[0]
+
+
+def _solve_exact(instance: Instance,
+                 config: OracleConfig | None) -> tuple[OracleResult, RelaxationData]:
+    """solve_exact's result and the relaxation data it was found on, for a
+    caller that evaluates more of the objective on the same fusion."""
     cfg = config if config is not None else OracleConfig()
     _check_cap(instance, cfg)
     data = build_relaxation(instance)
@@ -177,4 +184,4 @@ def solve_exact(instance: Instance,
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(
             f"incremental objective {incremental} disagrees with recomputed {value}")
-    return OracleResult(assignment=assignment, value=value)
+    return OracleResult(assignment=assignment, value=value), data

@@ -42,29 +42,32 @@ def instance_file(tmp_path):
 
 
 def _i64(values) -> str:
-    """An index column as a file holds it: base64 of little-endian int64."""
-    return base64.b64encode(struct.pack(f"<{len(values)}q", *values)).decode()
+    """A key column as a file holds it: hex of little-endian int64."""
+    return struct.pack(f"<{len(values)}q", *values).hex()
 
 
 def _f64(values) -> str:
-    """A score column as a file holds it: base64 of little-endian float64."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+    """A score column as a file holds it: hex of little-endian float64."""
+    return struct.pack(f"<{len(values)}d", *values).hex()
 
 
 def _decoded(data: dict) -> tuple[list, list, list]:
-    """The a, b and s columns of a parsed instance file, decoded without numpy."""
+    """The a, b and s columns of a parsed instance file, decoded without numpy:
+    each pair key is a * m + b."""
     def unpack(code, text):
-        raw = base64.b64decode(text, validate=True)
+        raw = bytes.fromhex(text)
         return list(struct.unpack(f"<{len(raw) // 8}{code}", raw))
-    a, b = (unpack("q", data[name]) for name in "ab")
-    return a, b, [unpack("d", column) for column in data["s"]]
+    m = sum(data["set_sizes"])
+    pairs = [divmod(key, m) for key in unpack("q", data["pairs"])]
+    return ([a for a, _ in pairs], [b for _, b in pairs],
+            [unpack("d", column) for column in data["s"]])
 
 
-def _columns_file(path, a, b, s, sizes=(1, 1), count=1):
-    """An instance file holding the given columns, encoded as written, faults
-    included."""
+def _columns_file(path, keys, s, sizes=(1, 1), count=1):
+    """An instance file holding the given pair keys and score columns,
+    encoded as written, faults included."""
     path.write_text(json.dumps({"set_sizes": list(sizes), "modalities": count,
-                                "a": _i64(a), "b": _i64(b),
+                                "pairs": _i64(keys),
                                 "s": [_f64(column) for column in s]}))
     return path
 
@@ -149,7 +152,7 @@ class TestInstanceIO:
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
-            "set_sizes": [1, 1], "modalities": 1, "a": "", "b": "", "s": [""],
+            "set_sizes": [1, 1], "modalities": 1, "pairs": "", "s": [""],
             "extra": 1}))
         with pytest.raises(FileFormatError, match="unknown field 'extra'"):
             read_instance(path)
@@ -162,19 +165,39 @@ class TestInstanceIO:
         with pytest.raises(FileFormatError, match="unknown field 'scores'"):
             read_instance(path)
 
+    def test_base64_layout_rejected(self, tmp_path):
+        # the base64 index and score columns of earlier versions: no second reader
+        def column(code, values):
+            return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode()
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"set_sizes": [1, 1], "modalities": 1,
+                                    "a": column("q", [0]), "b": column("q", [1]),
+                                    "s": [column("d", [0.9])]}, indent=2) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            read_instance(path)
+        assert str(err.value) == f"{path}: unknown field 'a'"
+
+    def test_out_of_order_keys_read_sorted(self, tmp_path):
+        # a file's keys need not ascend: Instance sorts them, as it sorts any pairs
+        path = _columns_file(tmp_path / "unsorted.json", [5, 1, 2],
+                             [[0.7, 0.9, 0.8]], (1, 1, 1))
+        loaded = read_instance(path)
+        assert loaded == Instance((1, 1, 1), 1, [(0, 1), (0, 2), (1, 2)],
+                                  [(0.9,), (0.8,), (0.7,)])
+
     def test_score_out_of_range_names_entry(self, tmp_path):
-        path = _columns_file(tmp_path / "bad.json", [0], [1], [[1.5]])
+        path = _columns_file(tmp_path / "bad.json", [1], [[1.5]])
         with pytest.raises(FileFormatError,
                            match=r"entry 0: scores must lie in \[0, 1\]$"):
             read_instance(path)
 
     def test_unordered_pair_rejected(self, tmp_path):
-        path = _columns_file(tmp_path / "bad.json", [1], [0], [[0.9]])
+        path = _columns_file(tmp_path / "bad.json", [2], [[0.9]])   # 1 * 2 + 0
         with pytest.raises(FileFormatError, match="entry 0: indices must satisfy 0 <= a < b"):
             read_instance(path)
 
     def test_duplicate_pair_rejected(self, tmp_path):
-        path = _columns_file(tmp_path / "bad.json", [0, 0], [1, 1], [[0.9, 0.8]])
+        path = _columns_file(tmp_path / "bad.json", [1, 1], [[0.9, 0.8]])
         with pytest.raises(FileFormatError, match=r"entry 1: duplicate pair \(0, 1\)"):
             read_instance(path)
 
@@ -187,27 +210,33 @@ class TestInstanceIO:
     @pytest.mark.parametrize("sizes, count, fault", [
         ([True, True], 1, "set_sizes"), ([1, 1], True, "modalities")])
     def test_boolean_sizes_rejected(self, tmp_path, sizes, count, fault):
-        path = _columns_file(tmp_path / "bad.json", [0], [1], [[0.9]], sizes, count)
+        path = _columns_file(tmp_path / "bad.json", [1], [[0.9]], sizes, count)
         with pytest.raises(FileFormatError, match=fault):
             read_instance(path)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_score_rejected(self, tmp_path, bad):
-        path = _columns_file(tmp_path / "bad.json", [0], [1], [[float(bad.lower())]])
+        path = _columns_file(tmp_path / "bad.json", [1], [[float(bad.lower())]])
         with pytest.raises(FileFormatError, match=r"entry 0: scores must lie in \[0, 1\]"):
             read_instance(path)
 
-    @pytest.mark.parametrize("a, b, s, message", [
-        ([0, -1], [1, 2], [[0.9, 0.9]], "entry 1: indices must satisfy 0 <= a < b < 3"),
-        ([0, 0], [1, 3], [[0.9, 0.9]], "entry 1: indices must satisfy 0 <= a < b < 3"),
-        ([0], [2 ** 63 - 1], [[0.9]], "entry 0: indices must satisfy 0 <= a < b < 3"),
-        ([0, 0], [1, 2], [[0.9, math.inf]], "entry 1: scores must lie in [0, 1]"),
-    ], ids=["a-negative", "b-past-m", "b-int64-max", "score-past-float"])
-    def test_number_past_machine_range_exits_one(self, tmp_path, capsys, a, b, s, message):
-        # an int64 column holds any index up to 2**63 - 1 and a float64 column
-        # holds a score past its range as inf; Instance names the entry, and
-        # solve exits 1 with no crash
-        path = _columns_file(tmp_path / "bad.json", a, b, s, (1, 1, 1))
+    @pytest.mark.parametrize("keys, s, message", [
+        ([1, -1], [[0.9, 0.9]], "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([1, 9], [[0.9, 0.9]], "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([1, 7], [[0.9, 0.9]], "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([1, 4], [[0.9, 0.9]], "entry 1: indices must satisfy 0 <= a < b < 3"),
+        ([1, 2, 1], [[0.9, 0.9, 0.9]], "entry 2: duplicate pair (0, 1)"),
+        ([2 ** 63 - 1], [[0.9]], "entry 0: indices must satisfy 0 <= a < b < 3"),
+        ([-2 ** 63], [[0.9]], "entry 0: indices must satisfy 0 <= a < b < 3"),
+        ([1, 2], [[0.9, math.inf]], "entry 1: scores must lie in [0, 1]"),
+    ], ids=["a-negative", "key-m-squared", "key-b-below-a", "key-b-equals-a",
+            "key-repeat", "key-int64-max", "key-int64-min", "score-past-float"])
+    def test_number_past_machine_range_exits_one(self, tmp_path, capsys, keys, s, message):
+        # an int64 key column holds any key in [-2**63, 2**63), and m = 3 splits
+        # each into a = key // 3 (negative for a negative key, 3 or more from
+        # 3 * 3 on) and b = key % 3; a float64 column holds a score past its
+        # range as inf.  Instance names the entry, and solve exits 1 with no crash
+        path = _columns_file(tmp_path / "bad.json", keys, s, (1, 1, 1))
         with pytest.raises(FileFormatError) as err:
             read_instance(path)
         assert str(err.value) == f"{path}: {message}"
@@ -215,29 +244,31 @@ class TestInstanceIO:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("columns, message", [
-        ({"a": [0]}, "a: expected a base64 string"),
-        ({"a": 0}, "a: expected a base64 string"),
-        ({"b": {"0": 1}}, "b: expected a base64 string"),
-        ({"a": "AAAAAAAAAA!="}, "a: invalid base64"),
-        ({"b": "AQAAAAAAAAé="}, "b: invalid base64"),
-        ({"a": "AAAAAAAA\nAAA="}, "a: invalid base64"),
-        ({"a": "AAAAAAAAAAA"}, "a: invalid base64"),
-        ({"b": base64.b64encode(bytes(12)).decode()},
-         "b: expected a multiple of 8 bytes, got 12"),
-        ({"s": [_f64([1.5])]}, "s: expected 2 base64 strings, one per modality"),
-        ({"s": {"0": _f64([1.5])}}, "s: expected 2 base64 strings, one per modality"),
-        ({"s": [1.5, 0.8]}, "s[0]: expected a base64 string"),
-        ({"b": _i64([1, 2])}, "b: length 2, expected a's length 1"),
-        ({"s": [_f64([1.5]), _f64([])]}, "s[1]: length 0, expected a's length 1"),
-    ], ids=["a-list", "a-not-list", "b-not-list", "a-not-alphabet", "b-non-ascii",
-            "a-whitespace", "a-bad-padding", "b-not-8-bytes", "s-one-list", "s-object",
-            "s-numbers", "lengths-differ", "s-column-short"])
+        ({"a": [0]}, "unknown field 'a'"),
+        ({"pairs": [1]}, "pairs: expected a hex string"),
+        ({"pairs": 1}, "pairs: expected a hex string"),
+        ({"pairs": {"0": 1}}, "pairs: expected a hex string"),
+        ({"pairs": "010000000000000g"}, "pairs: invalid hex"),
+        ({"pairs": "01000000000000é0"}, "pairs: invalid hex"),
+        ({"pairs": "01000000\n0000000"}, "pairs: invalid hex"),
+        ({"pairs": "010000000000000"}, "pairs: invalid hex"),
+        ({"pairs": bytes(12).hex()}, "pairs: expected a multiple of 8 bytes, got 12"),
+        ({"s": [_f64([1.5]), _f64([0.8])[1:]]}, "s[1]: invalid hex"),
+        ({"s": [_f64([1.5])]}, "s: expected 2 hex strings, one per modality"),
+        ({"s": {"0": _f64([1.5])}}, "s: expected 2 hex strings, one per modality"),
+        ({"s": [1.5, 0.8]}, "s[0]: expected a hex string"),
+        ({"pairs": _i64([1, 2])}, "s[0]: length 1, expected the length of pairs, 2"),
+        ({"s": [_f64([1.5]), _f64([])]}, "s[1]: length 0, expected the length of pairs, 1"),
+    ], ids=["a-list", "pairs-list", "pairs-number", "pairs-object", "pairs-not-hex",
+            "pairs-non-ascii", "pairs-whitespace", "pairs-odd-length",
+            "pairs-not-8-bytes", "s-odd-length", "s-one-list", "s-object", "s-numbers",
+            "lengths-differ", "s-column-short"])
     def test_shape_fault_rejected(self, tmp_path, columns, message):
         # every other column is sound and entry 0's score is out of range: a
         # column's fault comes before any entry's; "a-list" is the number-list
-        # layout of earlier versions
-        payload = {"set_sizes": [1, 1, 1], "modalities": 2, "a": _i64([0]),
-                   "b": _i64([1]), "s": [_f64([1.5]), _f64([0.8])], **columns}
+        # layout of earlier versions, rejected by its index column's name
+        payload = {"set_sizes": [1, 1, 1], "modalities": 2, "pairs": _i64([1]),
+                   "s": [_f64([1.5]), _f64([0.8])], **columns}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(FileFormatError) as err:
@@ -255,7 +286,7 @@ class TestInstanceIO:
                    for name in ("instance_000.json", "truth_000.json")}
         assert digests == {
             "instance_000.json":
-                "2994604e13a2d5786616ea1a624f791bbe1466f5cff373d23c0aba0078e11d64",
+                "b63a51911093677d8cf9042d5a2bbb2bd40f7a8c908721ef2c1622924ae35158",
             "truth_000.json":
                 "175d0e143955c7547c57d81bbb9667fc08315badfd41c76c3716a6a5315291a7",
         }
@@ -294,7 +325,7 @@ class TestInstanceIO:
         assert _decoded(data) == columns
         # the whole text: json.dumps(..., indent=2) of the fields in their order
         reference = {"set_sizes": [2, 2, 1], "modalities": count,
-                     "a": _i64(columns[0]), "b": _i64(columns[1]),
+                     "pairs": _i64([a * 5 + b for a, b in pairs]),
                      "s": [_f64(column) for column in columns[2]]}
         if metadata is not None:
             reference["metadata"] = metadata
@@ -314,13 +345,13 @@ class TestInstanceIO:
         write_instance(instance, path, metadata)
         a, b = instance.pairs.T
         reference = {"set_sizes": list(instance.set_sizes), "modalities": 2,
-                     "a": base64.b64encode(a.astype("<i8").tobytes()).decode(),
-                     "b": base64.b64encode(b.astype("<i8").tobytes()).decode(),
-                     "s": [base64.b64encode(column.astype("<f8").tobytes()).decode()
+                     "pairs": (a * 502 + b).astype("<i8").tobytes().hex(),
+                     "s": [column.astype("<f8").tobytes().hex()
                            for column in instance.scores.T],
                      "metadata": metadata}
         text = json.dumps(reference, indent=2) + "\n"
         assert path.read_bytes() == text.encode("ascii")
+        assert read_instance(path) == instance
         write_instance(instance, None, metadata)
         assert capsys.readouterr().out == text
 
@@ -353,10 +384,10 @@ class TestInstanceIO:
         # Instance's checks run on whole columns, yet must report the first
         # faulty entry, whatever its fault: entry 0 is sound and every later
         # entry holds one fault
-        good = (0, 1, [0.9, 0.8])
-        faulty = [(0, 2, [0.9, math.inf]), (-1, 2, [0.9, 0.8]), (2, 1, [0.9, 0.8]),
-                  (0, 3, [0.9, 0.8]), (1, 2, [1.5, 0.8]), (1, 2, [0.9, -0.5]),
-                  (0, 2, [0.9, math.nan]), good]
+        good = (1, [0.9, 0.8])   # keys a * 3 + b: 1 is (0, 1)
+        faulty = [(2, [0.9, math.inf]), (-1, [0.9, 0.8]), (7, [0.9, 0.8]),
+                  (9, [0.9, 0.8]), (5, [1.5, 0.8]), (5, [0.9, -0.5]),
+                  (2, [0.9, math.nan]), good]
         expected = ["scores must lie in \\[0, 1\\]", "indices must satisfy",
                     "indices must satisfy", "indices must satisfy",
                     "scores must lie in \\[0, 1\\]", "scores must lie in \\[0, 1\\]",
@@ -364,21 +395,21 @@ class TestInstanceIO:
         for i in range(len(faulty)):
             entries = [good] + faulty[i:] + faulty[:i]
             path = _columns_file(tmp_path / "bad.json", [e[0] for e in entries],
-                                 [e[1] for e in entries],
-                                 [[e[2][k] for e in entries] for k in range(2)],
+                                 [[e[1][k] for e in entries] for k in range(2)],
                                  (1, 1, 1), 2)
             with pytest.raises(FileFormatError, match=r"entry 1: ") as err:
                 read_instance(path)
             assert err.match(expected[i])
 
-    @pytest.mark.parametrize("a, b, s", [
-        ([0, 0], [1, 1], [[1.5, 0.9]]),
-        ([0, 1], [1, 3], [[-0.5, 0.9]]),
+    @pytest.mark.parametrize("keys, s", [
+        ([1, 1], [[1.5, 0.9]]),
+        ([1, 9], [[-0.5, 0.9]]),
     ], ids=["then-duplicate", "then-index-past-m"])
-    def test_score_fault_named_before_later_faults(self, tmp_path, a, b, s):
-        # entry 0's score is out of range and entry 1 holds another fault,
-        # which Instance finds; entry 0 is named either way
-        path = _columns_file(tmp_path / "bad.json", a, b, s, (1, 1, 1))
+    def test_score_fault_named_before_later_faults(self, tmp_path, keys, s):
+        # entry 0's score is out of range and entry 1 holds another fault
+        # (key 9 = 3 * 3 + 0 puts a at m = 3), which Instance finds; entry 0
+        # is named either way
+        path = _columns_file(tmp_path / "bad.json", keys, s, (1, 1, 1))
         with pytest.raises(FileFormatError) as err:
             read_instance(path)
         assert str(err.value) == f"{path}: entry 0: scores must lie in [0, 1]"
@@ -449,7 +480,7 @@ class TestSolveCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_invalid_instance_exits_one(self, tmp_path, capsys):
-        path = _columns_file(tmp_path / "bad.json", [0], [1], [[2.0]])
+        path = _columns_file(tmp_path / "bad.json", [1], [[2.0]])
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: entry 0: scores must lie in [0, 1]\n")

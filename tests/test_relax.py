@@ -332,9 +332,9 @@ class TestFusedDataMatchesDenseStack:
 
 
 class TestOneFusionPerCall:
-    """solve, solve_exact and the check of a complete result fuse their
-    instance once and read the exact objective from that fusion, not from
-    ``frobenius_objective``, which fuses it again."""
+    """solve, solve_exact, fusematch oracle and the check of a complete
+    result fuse their instance once and read the exact objective from that
+    fusion, not from ``frobenius_objective``, which fuses it again."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -360,6 +360,12 @@ class TestOneFusionPerCall:
 
     def test_solve_exact(self, calls):
         solve_exact(self._instance())
+        assert dict(calls) == {"build_relaxation": 1}
+
+    def test_oracle_command(self, calls, tmp_path, capsys):
+        inst_path = tmp_path / "instance.json"
+        cli.write_instance(self._instance(), inst_path)
+        assert cli.main(["oracle", str(inst_path), "--out", str(tmp_path / "r.json")]) == 0
         assert dict(calls) == {"build_relaxation": 1}
 
     def test_check_of_a_complete_result(self, calls, tmp_path, capsys):
