@@ -6,13 +6,12 @@ penalty continuation over a continuous relaxation, with an exhaustive exact
 oracle, a synthetic generator and a benchmark harness.
 """
 
-from .bench import (AblationRow, MetricsReport, TrialRow, ablation,
-                    all_pairs_matches, consecutive_matches, monte_carlo_gap,
+from .bench import (MetricsReport, all_pairs_matches, consecutive_matches,
                     optimality_gap, pair_metrics, percent_change,
-                    precision_recall, write_ablation_csv, write_gap_csv)
+                    precision_recall)
 from .core import (Assignment, FeasibilityReport, InfeasibleAssignmentError,
-                   Instance, InvalidInstanceError, ModalityMatrices,
-                   PairwiseTable, build_modality_matrices, canonical_labels,
+                   Instance, InvalidInstanceError, PairwiseTable,
+                   build_modality_matrices, canonical_labels,
                    check_cycle_consistency, check_feasible,
                    clusters_from_assignment, feasibility_report,
                    pairwise_from_assignment)
@@ -28,20 +27,17 @@ from .synth import (GroundTruth, SynthConfig, generate, multimodal_suite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationRow", "Assignment", "FeasibilityReport",
-    "GroundTruth", "InfeasibleAssignmentError", "Instance",
-    "InstanceTooLargeError", "InvalidInstanceError", "MetricsReport",
-    "ModalityMatrices", "OracleConfig", "OracleResult", "PairwiseTable",
-    "RelaxationData", "SolverConfig", "SolverResult", "StageRecord",
-    "SynthConfig", "TrialRow", "ablation", "all_pairs_matches",
-    "build_modality_matrices",
-    "build_relaxation", "canonical_labels", "check_cycle_consistency",
-    "check_feasible", "clusters_from_assignment", "consecutive_matches",
-    "count_feasible", "enumerate_feasible", "feasibility_report",
-    "frobenius_objective", "generate", "monte_carlo_gap",
+    "Assignment", "FeasibilityReport", "GroundTruth",
+    "InfeasibleAssignmentError", "Instance", "InstanceTooLargeError",
+    "InvalidInstanceError", "MetricsReport", "OracleConfig", "OracleResult",
+    "PairwiseTable", "RelaxationData", "SolverConfig", "SolverResult",
+    "StageRecord", "SynthConfig", "all_pairs_matches",
+    "build_modality_matrices", "build_relaxation", "canonical_labels",
+    "check_cycle_consistency", "check_feasible", "clusters_from_assignment",
+    "consecutive_matches", "count_feasible", "enumerate_feasible",
+    "feasibility_report", "frobenius_objective", "generate",
     "multimodal_suite", "optimality_gap", "pair_metrics",
-    "pairwise_from_assignment", "percent_change",
-    "precision_recall", "project", "project_row", "relaxed_gradient",
-    "relaxed_objective", "restrict_modalities", "solve", "solve_exact",
-    "write_ablation_csv", "write_gap_csv",
+    "pairwise_from_assignment", "percent_change", "precision_recall",
+    "project", "project_row", "relaxed_gradient", "relaxed_objective",
+    "restrict_modalities", "solve", "solve_exact",
 ]

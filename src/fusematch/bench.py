@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +30,12 @@ GAP_EPSILON = 1e-9
 
 GAP_CSV_COLUMNS = ("n_o", "gap_mean", "gap_std", "dp_mean", "dp_std",
                    "dr_mean", "dr_std", "runtime_ms")
+
+# the outlier sweep against the exact optimum: m = 9-12 elements, so the
+# oracle stays within its default cap
+SWEEP_BASE = SynthConfig(universe_size=3, num_sets=3, modality_count=2,
+                         noise_sigma=0.15, inconclusive_rate=0.15, flip_rate=0.05)
+SWEEP_OUTLIERS = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -226,16 +232,18 @@ def ablation(trials: int, base_seed: int = 0, *,
     return rows
 
 
-def write_gap_csv(rows: Sequence[TrialRow], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """A header line and one line per row, parent directories made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(GAP_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([row.outliers, row.gap_mean, row.gap_std,
-                             row.dp_mean, row.dp_std, row.dr_mean, row.dr_std,
-                             row.runtime_ms])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_gap_csv(rows: Sequence[TrialRow], path: str | Path) -> None:
+    _write_csv(path, GAP_CSV_COLUMNS, map(astuple, rows))   # fields in column order
 
 
 def format_gap_table(rows: Sequence[TrialRow]) -> str:
@@ -251,14 +259,9 @@ def format_gap_table(rows: Sequence[TrialRow]) -> str:
 
 
 def write_ablation_csv(rows: Sequence[AblationRow], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("modalities", "method", "f1_mean"))
-        for row in rows:
-            writer.writerow(["+".join(str(k) for k in row.modalities),
-                             row.method, row.f1_mean])
+    _write_csv(path, ("modalities", "method", "f1_mean"),
+               (("+".join(str(k) for k in row.modalities), row.method, row.f1_mean)
+                for row in rows))
 
 
 def format_ablation_table(rows: Sequence[AblationRow]) -> str:

@@ -14,8 +14,9 @@ json.dump(..., indent=2) plus a newline, with the hex columns spliced in
 unescaped; it encodes the metadata, the only part that can fail, before it
 opens the file, so a failed encode creates or changes no file, and then
 encodes and writes one column at a time.  read_instance checks what the
-file can get wrong (fields, set_sizes, modalities, and per column a hex
-string of whole 8-byte values, K score columns, one length) and passes the
+file can get wrong (fields, set_sizes by Instance's rule, which bounds m so
+that every key fits int64, modalities, and per column a hex string of
+whole 8-byte values, K score columns, one length) and passes the
 arrays to Instance, which checks the values and names the lowest faulty
 entry: a negative key, a key of m * m or more, or one with b <= a fails as
 "indices must satisfy 0 <= a < b < m".  Files in a layout of earlier
@@ -36,7 +37,8 @@ Any other set of fields is rejected, naming the first missing one.  Runs
 are byte-reproducible for a fixed seed.
 
 Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
-1 error.
+1 error.  A usage error (an unknown subcommand or flag, a missing or
+mistyped value) exits 2 from argparse on every subcommand, before any work.
 """
 
 from __future__ import annotations
@@ -53,14 +55,14 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .bench import (ablation, format_ablation_table, format_gap_table,
-                    monte_carlo_gap, precision_recall, write_ablation_csv,
-                    write_gap_csv)
+from .bench import (SWEEP_BASE, SWEEP_OUTLIERS, ablation, format_ablation_table,
+                    format_gap_table, monte_carlo_gap, precision_recall,
+                    write_ablation_csv, write_gap_csv)
 # check_* and pairwise_* are not called (see cmd_check); perfbench/tracing.py rebinds
 # them, and tests/test_perfbench_contract.py guards that they stay importable
 from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F401
-                   InvalidInstanceError, check_cycle_consistency, check_feasible,
-                   pairwise_from_assignment)
+                   InvalidInstanceError, _check_sizes, check_cycle_consistency,
+                   check_feasible, pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, _solve_exact
 from .relax import _frobenius, build_relaxation, relaxed_objective
 from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
@@ -76,13 +78,16 @@ TRUTH_FIELDS = {"set_sizes", "labels"}
 VALUE_RTOL = 1e-9  # check: relative tolerance of a reported objective value
 STAGE_RTOL = 1e-6  # check: a converged solve's last-stage objective vs its relaxed value
 
-# sweep defaults of the bench shape flags; the ablation's are DEFAULT_SUITE_BASE
-SWEEP_SHAPE = {"universe_size": 3, "num_sets": 3, "observe_prob": 1.0,
-               "outliers": "0,1,2,3"}
-# sweep defaults of the bench corruption flags; the ablation's modality
-# profiles fix their own, so it rejects these flags
-SWEEP_CORRUPTION = {"modalities": 2, "noise_sigma": 0.15, "inconclusive_rate": 0.15,
-                    "flip_rate": 0.05}
+# the generator flags: each SynthConfig field a subcommand can set, with its
+# flag and type; _add_synth_flags adds the ones a subcommand takes
+SYNTH_FLAGS = {
+    "universe_size": ("--universe-size", int), "num_sets": ("--num-sets", int),
+    "observe_prob": ("--observe-prob", float), "modality_count": ("--modalities", int),
+    "noise_sigma": ("--noise-sigma", float),
+    "inconclusive_rate": ("--inconclusive-rate", float),
+    "flip_rate": ("--flip-rate", float), "outliers_per_run": ("--outliers", int),
+    "rng_seed": ("--seed", int)}
+SYNTH_BASE = SynthConfig(universe_size=10, num_sets=3)   # fusematch synth's defaults
 
 
 class FileFormatError(ValueError):
@@ -138,17 +143,10 @@ def _column(text: Any, dtype: str, where: str) -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def _set_sizes(sizes, path: str | Path) -> list[int]:
-    if (not isinstance(sizes, list) or not sizes
-            or not all(type(s) is int and s >= 1 for s in sizes)):
-        raise FileFormatError(f"{path}: set_sizes: expected positive integers")
-    return sizes
-
-
 def read_instance(path: str | Path) -> Instance:
     data = _load_json(path)
     _require_fields(data, INSTANCE_FIELDS, INSTANCE_FIELDS - {"metadata"}, str(path))
-    sizes = _set_sizes(data["set_sizes"], path)
+    sizes = _check_sizes(data["set_sizes"], lambda msg: FileFormatError(f"{path}: {msg}"))
     count = data["modalities"]
     if type(count) is not int or count < 1:
         raise FileFormatError(f"{path}: modalities: expected a positive integer")
@@ -168,7 +166,7 @@ def read_instance(path: str | Path) -> Instance:
                                   f"the length of pairs, {len(pairs)}")
         scores[:, k] = column
     try:
-        return Instance(tuple(sizes), count, pairs, scores)
+        return Instance(sizes, count, pairs, scores)
     except InvalidInstanceError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -219,7 +217,8 @@ def write_instance(instance: Instance, path: str | Path | None,
 def read_truth(path: str | Path) -> GroundTruth:
     data = _load_json(path)
     _require_fields(data, TRUTH_FIELDS, TRUTH_FIELDS, str(path))
-    sizes, labels = _set_sizes(data["set_sizes"], path), data["labels"]
+    sizes = _check_sizes(data["set_sizes"], lambda msg: FileFormatError(f"{path}: {msg}"))
+    labels = data["labels"]
     if not isinstance(labels, list) or not all(type(x) is int for x in labels):
         raise FileFormatError(f"{path}: labels: expected integers")
     if len(labels) != sum(sizes):
@@ -378,58 +377,41 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _synth_config(args: argparse.Namespace) -> SynthConfig:
+    """The subcommand's base config with the value of each generator flag it takes."""
+    return replace(args.base, **{k: v for k, v in vars(args).items() if k in SYNTH_FLAGS})
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    base = SynthConfig(
-        universe_size=args.universe_size, num_sets=args.num_sets,
-        modality_count=args.modalities, observe_prob=args.observe_prob,
-        outliers_per_run=args.outliers, noise_sigma=args.noise_sigma,
-        inconclusive_rate=args.inconclusive_rate, flip_rate=args.flip_rate,
-        rng_seed=args.seed)
+    base = _synth_config(args)
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t in range(args.trials):
-        seed = derive_seed(args.seed, t)
-        instance, truth = generate(replace(base, rng_seed=seed))
-        metadata = {"seed": seed, "generator": asdict(replace(base, rng_seed=seed))}
+        config = replace(base, rng_seed=derive_seed(base.rng_seed, t))
+        instance, truth = generate(config)
+        metadata = {"seed": config.rng_seed, "generator": asdict(config)}
         write_instance(instance, out_dir / f"instance_{t:03d}.json", metadata)
         write_truth(truth, instance.set_sizes, out_dir / f"truth_{t:03d}.json")
     print(f"wrote {args.trials} instances to {out_dir}")
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    # the study flags default to None, so only those given override a study's base
-    given = {k: getattr(args, k) for k in (*SWEEP_SHAPE, *SWEEP_CORRUPTION)
-             if getattr(args, k) is not None}
-    fixed = [k for k in SWEEP_CORRUPTION if k in given]
-    if args.ablation and fixed:
-        raise FileFormatError(f"--{fixed[0].replace('_', '-')}: the ablation's modality "
-                              f"profiles fix the corruption")
-    shape = given if args.ablation else {**SWEEP_SHAPE, **SWEEP_CORRUPTION, **given}
-    try:
-        n_o_values = [int(x) for x in shape.pop("outliers", "").split(",") if x.strip()]
-    except ValueError as exc:
-        raise FileFormatError(f"--outliers: {exc}") from exc
-    if args.outliers is not None and not n_o_values:
-        raise FileFormatError("--outliers: expected at least one outlier count")
-    if args.ablation:
-        if len(n_o_values) > 1:
-            raise FileFormatError("--outliers: the ablation takes one outlier count")
-        if n_o_values:
-            shape["outliers_per_run"] = n_o_values[0]
-        rows = ablation(args.trials, args.seed, base=replace(DEFAULT_SUITE_BASE, **shape))
-        if args.out:
-            write_ablation_csv(rows, args.out)
-        print(format_ablation_table(rows))
-        return 0
-    shape["modality_count"] = shape.pop("modalities")
-    base = SynthConfig(**shape, rng_seed=args.seed)
-    rows = monte_carlo_gap(base, n_o_values, args.trials)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = monte_carlo_gap(_synth_config(args), args.outliers, args.trials)
     if args.out:
         write_gap_csv(rows, args.out)
     print(format_gap_table(rows))
+    return 0
+
+
+def cmd_ablation(args: argparse.Namespace) -> int:
+    base = _synth_config(args)
+    rows = ablation(args.trials, base.rng_seed, base=base)
+    if args.out:
+        write_ablation_csv(rows, args.out)
+    print(format_ablation_table(rows))
     return 0
 
 
@@ -485,6 +467,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_synth_flags(parser: argparse.ArgumentParser, base: SynthConfig,
+                     *names: str) -> None:
+    """Add the generator flag of each named SynthConfig field, dest the field
+    and default the base's value; _synth_config reads them back."""
+    for name in names:
+        flag, kind = SYNTH_FLAGS[name]
+        parser.add_argument(flag, dest=name, type=kind, default=getattr(base, name),
+                            help="default: %(default)s")
+    parser.set_defaults(base=base)
+
+
 @functools.cache   # one per process: each parser is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -508,35 +501,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate instance/truth files")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--universe-size", dest="universe_size", type=int, default=10)
-    p_synth.add_argument("--num-sets", dest="num_sets", type=int, default=3)
-    p_synth.add_argument("--modalities", type=int, default=1)
-    p_synth.add_argument("--observe-prob", dest="observe_prob", type=float, default=1.0)
-    p_synth.add_argument("--outliers", type=int, default=0)
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
-    p_synth.add_argument("--inconclusive-rate", dest="inconclusive_rate",
-                         type=float, default=0.0)
-    p_synth.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.0)
     p_synth.add_argument("--trials", type=int, default=1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    _add_synth_flags(p_synth, SYNTH_BASE, *SYNTH_FLAGS)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_bench = sub.add_parser("bench", help="outlier sweep or modality ablation")
-    p_bench.add_argument("--out", help="CSV output path")
-    p_bench.add_argument("--ablation", action="store_true",
-                         help="run the modality ablation instead of the sweep")
-    p_bench.add_argument("--universe-size", dest="universe_size", type=int)
-    p_bench.add_argument("--num-sets", dest="num_sets", type=int)
-    p_bench.add_argument("--observe-prob", dest="observe_prob", type=float)
-    p_bench.add_argument("--modalities", type=int)
-    p_bench.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p_bench.add_argument("--inconclusive-rate", dest="inconclusive_rate", type=float)
-    p_bench.add_argument("--flip-rate", dest="flip_rate", type=float)
-    p_bench.add_argument("--outliers",
-                         help="comma-separated outlier counts (one for --ablation)")
-    p_bench.add_argument("--trials", type=int, default=50)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
+    p_sweep = sub.add_parser("sweep", help="outlier sweep against the exact optimum")
+    p_sweep.add_argument("--out", help="CSV output path")
+    p_sweep.add_argument("--trials", type=int, default=50)
+    p_sweep.add_argument("--outliers", type=int, nargs="+", default=SWEEP_OUTLIERS,
+                         help="outlier counts to sweep (default: %(default)s)")
+    _add_synth_flags(p_sweep, SWEEP_BASE, "universe_size", "num_sets", "observe_prob",
+                     "modality_count", "noise_sigma", "inconclusive_rate", "flip_rate",
+                     "rng_seed")
+    p_sweep.set_defaults(func=cmd_sweep)
+
+    # the modality profiles fix the ablation's modalities and corruption
+    p_ablation = sub.add_parser("ablation", help="modality ablation: mean F1 per "
+                                "modality subset, solver against two baselines")
+    p_ablation.add_argument("--out", help="CSV output path")
+    p_ablation.add_argument("--trials", type=int, default=50)
+    _add_synth_flags(p_ablation, DEFAULT_SUITE_BASE, "universe_size", "num_sets",
+                     "observe_prob", "outliers_per_run", "rng_seed")
+    p_ablation.set_defaults(func=cmd_ablation)
 
     p_check = sub.add_parser("check", help="validate a result against an instance")
     p_check.add_argument("result")

@@ -14,10 +14,11 @@ they are that for some one-hot U.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,15 +56,24 @@ def _check_counts(config: object, **minimums: int) -> None:
             raise ValueError(f"{name} must be at least {minimum}")
 
 
+# the most elements m whose pair keys a * m + b, up to m * m - 1, fit int64
+MAX_ELEMENTS = math.isqrt(np.iinfo(np.int64).max)
+
+
 def _check_sizes(set_sizes: Sequence[int],
-                 error: type[ValueError] = ValueError) -> tuple[int, ...]:
-    """``set_sizes`` as a tuple of ints; raises ``error`` unless it lists at
-    least one set and every size is an integer of at least 1."""
-    sizes = tuple(set_sizes)
+                 error: Callable[[str], Exception] = ValueError) -> tuple[int, ...]:
+    """``set_sizes`` as a tuple of ints; raises ``error(message)`` unless it
+    lists at least one set, every size is an integer of at least 1, and
+    they sum to at most MAX_ELEMENTS."""
+    sizes = tuple(set_sizes) if isinstance(set_sizes, Iterable) else ()
     if not sizes or not all(_is_integer(s) and s >= 1 for s in sizes):
-        raise error(f"set_sizes must be a nonempty list of positive integers, "
-                    f"got {set_sizes!r}")
-    return tuple(int(s) for s in sizes)
+        raise error("set_sizes: expected positive integers")
+    sizes = tuple(int(s) for s in sizes)
+    m = sum(sizes)
+    if m > MAX_ELEMENTS:
+        raise error(f"set_sizes: {m} elements, more than the {MAX_ELEMENTS} "
+                    f"whose pair keys a * m + b fit int64")
+    return sizes
 
 
 class InvalidInstanceError(ValueError):

@@ -14,22 +14,25 @@ from fusematch import (
     Instance,
     MetricsReport,
     PairwiseTable,
-    SolverConfig,
     SynthConfig,
-    ablation,
     all_pairs_matches,
     check_cycle_consistency,
     consecutive_matches,
     generate,
-    monte_carlo_gap,
     optimality_gap,
     pair_metrics,
     percent_change,
     precision_recall,
+)
+from fusematch.bench import (
+    GAP_CSV_COLUMNS,
+    ablation,
+    format_ablation_table,
+    format_gap_table,
+    monte_carlo_gap,
     write_ablation_csv,
     write_gap_csv,
 )
-from fusematch.bench import GAP_CSV_COLUMNS, format_ablation_table, format_gap_table
 
 SINGLETONS = (1,) * 8   # every pair of elements is a cross-set pair
 

@@ -6,6 +6,7 @@ import base64
 import hashlib
 import json
 import math
+import re
 import struct
 import tempfile
 from dataclasses import asdict, fields, replace
@@ -27,6 +28,8 @@ from fusematch.cli import (
     write_instance,
     write_truth,
 )
+from fusematch.bench import SWEEP_BASE, SWEEP_OUTLIERS
+from fusematch.core import MAX_ELEMENTS
 from fusematch.synth import DEFAULT_SUITE_BASE
 
 
@@ -259,10 +262,15 @@ class TestInstanceIO:
         ({"s": [1.5, 0.8]}, "s[0]: expected a hex string"),
         ({"pairs": _i64([1, 2])}, "s[0]: length 1, expected the length of pairs, 2"),
         ({"s": [_f64([1.5]), _f64([])]}, "s[1]: length 0, expected the length of pairs, 1"),
+        ({"set_sizes": 3}, "set_sizes: expected positive integers"),
+        ({"set_sizes": None}, "set_sizes: expected positive integers"),
+        ({"set_sizes": "111"}, "set_sizes: expected positive integers"),
+        ({"set_sizes": [1, 1.0, 1]}, "set_sizes: expected positive integers"),
     ], ids=["a-list", "pairs-list", "pairs-number", "pairs-object", "pairs-not-hex",
             "pairs-non-ascii", "pairs-whitespace", "pairs-odd-length",
             "pairs-not-8-bytes", "s-odd-length", "s-one-list", "s-object", "s-numbers",
-            "lengths-differ", "s-column-short"])
+            "lengths-differ", "s-column-short", "sizes-number", "sizes-null",
+            "sizes-string", "sizes-float"])
     def test_shape_fault_rejected(self, tmp_path, columns, message):
         # every other column is sound and entry 0's score is out of range: a
         # column's fault comes before any entry's; "a-list" is the number-list
@@ -422,12 +430,29 @@ class TestInstanceIO:
 
     @pytest.mark.parametrize("sizes, labels, fault", [
         ([1, 1], [0, True], "labels: expected integers"),
-        ([True, 1], [0, 1], "set_sizes: expected positive integers")])
+        ([True, 1], [0, 1], "set_sizes: expected positive integers"),
+        ([10 ** 30, 1], [0, 1], f"set_sizes: {10 ** 30 + 1} elements, more than")])
     def test_truth_boolean_rejected(self, tmp_path, sizes, labels, fault):
         path = tmp_path / "truth.json"
         path.write_text(json.dumps({"set_sizes": sizes, "labels": labels}))
         with pytest.raises(FileFormatError, match=fault):
             read_truth(path)
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_set_sizes_past_int64_keys_exit_one(self, tmp_path, capsys, command):
+        # m = 10**30 + 1 puts the pair keys a * m + b past int64: both commands
+        # used to end in an OverflowError traceback
+        path = _columns_file(tmp_path / "big.json", [1], [[0.9]], (10 ** 30, 1))
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({"clusters": [[0], [1]]}))
+        argv = {"solve": ["solve", str(path)],
+                "check": ["check", str(result), str(path)]}[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {path}: set_sizes: {10 ** 30 + 1} elements, more "
+                                f"than the {MAX_ELEMENTS} whose pair keys a * m + b fit "
+                                f"int64\n")
+        assert captured.out == ""
 
 
 class TestSolveCommand:
@@ -830,13 +855,31 @@ class TestCheckCommand:
         assert "missing" in capsys.readouterr().out
 
 
+def _exit_code(argv) -> int | str | None:
+    """The code of the SystemExit that main(argv) raises from argparse."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    return exited.value.code
+
+
+SUBCOMMANDS = re.search(r"\{(.*?)\}", fusematch.cli.build_parser().format_usage())[1]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS.split(","))
+def test_help_exits_zero(command, capsys):
+    assert _exit_code([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: fusematch {command} ")
+
+
 class TestBenchCommand:
+    """The subcommands sweep and ablation, which run fusematch.bench's studies."""
+
     def test_zero_corruption_sweep_reports_zero_gap(self, tmp_path, capsys):
         out = tmp_path / "gap.csv"
-        code = main(["bench", "--universe-size", "2", "--num-sets", "3",
+        code = main(["sweep", "--universe-size", "2", "--num-sets", "3",
                      "--modalities", "1", "--noise-sigma", "0",
                      "--inconclusive-rate", "0", "--flip-rate", "0",
-                     "--outliers", "0,1", "--trials", "3", "--seed", "0",
+                     "--outliers", "0", "1", "--trials", "3", "--seed", "0",
                      "--out", str(out)])
         assert code == 0
         rows = out.read_text().strip().splitlines()
@@ -848,32 +891,34 @@ class TestBenchCommand:
     def test_ablation_honours_shape_flags(self, monkeypatch, capsys):
         seen = []
         monkeypatch.setattr(fusematch.cli, "ablation",
-                            lambda trials, seed, base: seen.append(base) or [])
-        assert main(["bench", "--ablation", "--trials", "1"]) == 0
-        assert main(["bench", "--ablation", "--trials", "1", "--universe-size", "2",
+                            lambda trials, seed, base: seen.append((seed, base)) or [])
+        assert main(["ablation", "--trials", "1"]) == 0
+        assert main(["ablation", "--trials", "1", "--universe-size", "2",
                      "--num-sets", "2", "--observe-prob", "0.5", "--outliers", "0"]) == 0
-        assert main(["bench", "--ablation", "--trials", "1", "--num-sets", "5"]) == 0
+        assert main(["ablation", "--trials", "1", "--num-sets", "5", "--seed", "4"]) == 0
         assert seen == [
-            DEFAULT_SUITE_BASE,
-            replace(DEFAULT_SUITE_BASE, universe_size=2, num_sets=2,
-                    observe_prob=0.5, outliers_per_run=0),
-            replace(DEFAULT_SUITE_BASE, num_sets=5),
+            (0, DEFAULT_SUITE_BASE),
+            (0, replace(DEFAULT_SUITE_BASE, universe_size=2, num_sets=2,
+                        observe_prob=0.5, outliers_per_run=0)),
+            (4, replace(DEFAULT_SUITE_BASE, num_sets=5, rng_seed=4)),
         ]
-        assert main(["bench", "--ablation", "--outliers", "0,1"]) == 1
-        assert "one outlier count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--modalities", "5"), ("--noise-sigma", "0.9"),
-        ("--inconclusive-rate", "1.0"), ("--flip-rate", "0.5")])
+        ("--inconclusive-rate", "1.0"), ("--flip-rate", "0.5"), ("--outliers", "0 1")])
     def test_ablation_rejects_corruption_flags(self, monkeypatch, flag, value, capsys):
-        # the ablation's modality profiles fix the corruption; these flags
-        # used to be accepted and ignored
+        # the ablation's modality profiles fix the corruption, and it takes
+        # one outlier count; its parser has no other flags
         monkeypatch.setattr(fusematch.cli, "ablation",
                             lambda trials, seed, base: pytest.fail("ablation ran"))
-        assert main(["bench", "--ablation", "--trials", "1", flag, value]) == 1
+        assert _exit_code(["ablation", "--trials", "1", flag, *value.split()]) == 2
         captured = capsys.readouterr()
-        assert f"error: {flag}:" in captured.err
+        assert "unrecognized arguments" in captured.err
         assert captured.out == ""
+
+    def test_bench_is_not_a_command(self, capsys):
+        assert _exit_code(["bench", "--ablation"]) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_sweep_defaults(self, monkeypatch):
         seen = []
@@ -881,41 +926,47 @@ class TestBenchCommand:
                             lambda base, n_o_values, trials: seen.append(
                                 (base, n_o_values, trials)) or [])
         monkeypatch.setattr(fusematch.cli, "format_gap_table", lambda rows: "")
-        assert main(["bench", "--trials", "2", "--seed", "4"]) == 0
-        assert main(["bench", "--trials", "2", "--modalities", "1", "--noise-sigma",
-                     "0", "--inconclusive-rate", "0.3", "--flip-rate", "0"]) == 0
-        sweep = SynthConfig(universe_size=3, num_sets=3, observe_prob=1.0,
-                            modality_count=2, noise_sigma=0.15, inconclusive_rate=0.15,
-                            flip_rate=0.05, rng_seed=4)
+        assert main(["sweep", "--trials", "2", "--seed", "4"]) == 0
+        assert main(["sweep", "--trials", "2", "--modalities", "1", "--noise-sigma",
+                     "0", "--inconclusive-rate", "0.3", "--flip-rate", "0",
+                     "--outliers", "0", "2"]) == 0
         assert seen == [
-            (sweep, [0, 1, 2, 3], 2),
-            (replace(sweep, modality_count=1, noise_sigma=0.0, inconclusive_rate=0.3,
-                     flip_rate=0.0, rng_seed=0), [0, 1, 2, 3], 2),
+            (replace(SWEEP_BASE, rng_seed=4), SWEEP_OUTLIERS, 2),
+            (replace(SWEEP_BASE, modality_count=1, noise_sigma=0.0, inconclusive_rate=0.3,
+                     flip_rate=0.0), [0, 2], 2),
         ]
+        # the paper's sweep: m = 9-12 elements, within the oracle's default cap
+        assert SWEEP_BASE == SynthConfig(universe_size=3, num_sets=3, modality_count=2,
+                                         noise_sigma=0.15, inconclusive_rate=0.15,
+                                         flip_rate=0.05)
+        assert SWEEP_OUTLIERS == (0, 1, 2, 3)
 
-    @pytest.mark.parametrize("mode", [[], ["--ablation"]])
+    @pytest.mark.parametrize("mode", [["sweep"], ["ablation"]])
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_nonpositive_trials_exit_one(self, mode, trials, capsys):
         # the sweep and the ablation used to print a table of nan and exit 0
-        assert main(["bench", *mode, "--trials", trials]) == 1
+        assert main([*mode, "--trials", trials]) == 1
         captured = capsys.readouterr()
         assert "error: trials must be at least 1" in captured.err
         assert captured.out == ""
 
-    def test_bad_outlier_list_exits_one(self, capsys):
-        assert main(["bench", "--outliers", "0,x"]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode", [["sweep"], ["ablation"]])
+    @pytest.mark.parametrize("outliers", [[], ["0,x"], ["0,1"]])
+    def test_bad_outlier_list_exits_two(self, mode, outliers, capsys):
+        # a count per value, not a comma-separated list
+        assert _exit_code([*mode, "--outliers", *outliers]) == 2
+        assert "error: argument --outliers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", [[], ["--ablation"]])
+    @pytest.mark.parametrize("mode", [["sweep"], ["ablation"]])
     @pytest.mark.parametrize("outliers", [" ", ",", ""])
-    def test_outliers_flag_without_counts_exits_one(self, monkeypatch, mode, outliers,
-                                                     capsys):
+    def test_outliers_flag_without_counts_exits_two(self, monkeypatch, mode, outliers,
+                                                    capsys):
         # the sweep used to print an empty table and the ablation to ignore the flag
         monkeypatch.setattr(fusematch.cli, "ablation",
                             lambda trials, seed, base: pytest.fail("ablation ran"))
         monkeypatch.setattr(fusematch.cli, "monte_carlo_gap",
                             lambda base, n_o_values, trials: pytest.fail("sweep ran"))
-        assert main(["bench", *mode, "--trials", "1", "--outliers", outliers]) == 1
+        assert _exit_code([*mode, "--trials", "1", "--outliers", outliers]) == 2
         captured = capsys.readouterr()
-        assert "error: --outliers: expected at least one outlier count" in captured.err
+        assert "error: argument --outliers: invalid int value" in captured.err
         assert captured.out == ""

@@ -23,7 +23,7 @@ from fusematch import (
     generate,
     pairwise_from_assignment,
 )
-from fusematch.core import PairwiseTable
+from fusematch.core import MAX_ELEMENTS, PairwiseTable
 
 from conftest import random_feasible_assignment
 
@@ -88,6 +88,23 @@ class TestInstance:
             make_instance(pairs=[(0, 2)], scores=[(0.9,)])
         with pytest.raises(InvalidInstanceError, match="entry 0: indices must satisfy"):
             make_instance(pairs=[(-1, 1)], scores=[(0.9,)])
+
+    @pytest.mark.parametrize("set_sizes", [
+        (10 ** 30, 1), (MAX_ELEMENTS + 1,), (MAX_ELEMENTS, 1),
+        (np.int64(2 ** 62), np.int64(2 ** 62))])
+    def test_sizes_past_int64_pair_keys_rejected(self, set_sizes):
+        # the pair keys a * m + b must fit int64; (10**30, 1) used to end in
+        # an OverflowError.  Rejected before anything is allocated, and numpy
+        # sizes are summed as Python ints, so 2**62 + 2**62 does not wrap
+        m = sum(int(s) for s in set_sizes)
+        with pytest.raises(InvalidInstanceError,
+                           match=rf"^set_sizes: {m} elements, more than the {MAX_ELEMENTS} "):
+            Instance(set_sizes, 1)
+        with pytest.raises(ValueError, match=rf"^set_sizes: {m} elements"):
+            Assignment([0] * len(set_sizes), set_sizes)
+
+    def test_element_bound_is_the_int64_key_range(self):
+        assert MAX_ELEMENTS ** 2 - 1 <= np.iinfo(np.int64).max < (MAX_ELEMENTS + 1) ** 2 - 1
 
     def test_non_integer_pairs_rejected(self):
         with pytest.raises(InvalidInstanceError):

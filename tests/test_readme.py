@@ -11,7 +11,7 @@ from fusematch import solver
 from fusematch.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-DEMO_COMMANDS = {"synth", "solve", "check"}   # oracle and bench take seconds
+DEMO_COMMANDS = {"synth", "solve", "check"}   # oracle, sweep and ablation take seconds
 
 
 def blocks(lang: str) -> list[str]:
