@@ -37,8 +37,9 @@ Any other set of fields is rejected, naming the first missing one.  Runs
 are byte-reproducible for a fixed seed.
 
 Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
-1 error.  A usage error (an unknown subcommand or flag, a missing or
-mistyped value) exits 2 from argparse on every subcommand, before any work.
+1 error, an allocation that runs out of memory included.  A usage error
+(an unknown subcommand or flag, a missing or mistyped value) exits 2 from
+argparse on every subcommand, before any work.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F40
                    InvalidInstanceError, _check_sizes, check_cycle_consistency,
                    check_feasible, pairwise_from_assignment)
 from .oracle import InstanceTooLargeError, OracleConfig, _solve_exact
-from .relax import _frobenius, build_relaxation, relaxed_objective
+from .relax import _frobenius, _labelling_values, build_relaxation, relaxed_objective
 from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
                      penalty_weights, solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
@@ -369,7 +370,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = OracleConfig(max_elements=args.max_elements)
     exact, data = _solve_exact(instance, cfg)
     # written as a converged solve with an empty trace, so relaxed at d = 0
-    relaxed = relaxed_objective(exact.assignment.entries, data, 0.0)
+    relaxed = _labelling_values(exact.assignment.labels, data, 0.0)[1]
     result = SolverResult(assignment=exact.assignment, relaxed_value=relaxed,
                           frobenius_value=exact.value, trace=(), converged=True)
     _dump_json(result_payload(result, asdict(cfg)), args.out)
@@ -539,6 +540,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FileFormatError, InvalidInstanceError, InfeasibleAssignmentError,
             InstanceTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # numpy's message names the allocation that failed
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate
 from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
@@ -250,11 +251,12 @@ def feasibility_report(entries: np.ndarray, set_sizes: Sequence[int]) -> Feasibi
     m = sum(sizes)
     if U.ndim != 2 or U.shape[0] != m:
         raise ValueError(f"expected a matrix with {m} rows, got shape {U.shape}")
-    if not np.isin(U, (0, 1)).all():
+    if not ((U == 0) | (U == 1)).all():
         raise ValueError("assignment entries must be binary")
-    rows = tuple(int(r) for r in np.flatnonzero(U.sum(axis=1) != 1))
-    column_sums = np.add.reduceat(U, np.cumsum((0,) + sizes[:-1]), axis=0, dtype=np.int64)
-    cols = tuple((int(i), int(c)) for i, c in np.argwhere(column_sums > 1))
+    rows = tuple(np.flatnonzero(U.sum(axis=1) != 1).tolist())
+    column_sums = np.add.reduceat(U, list(accumulate(sizes[:-1], initial=0)), axis=0,
+                                  dtype=np.int64)
+    cols = tuple(map(tuple, np.argwhere(column_sums > 1).tolist()))
     return FeasibilityReport(rows, cols)
 
 

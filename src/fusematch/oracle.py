@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts
-from .relax import RelaxationData, _frobenius, build_relaxation
+from .relax import RelaxationData, _labelling_values, build_relaxation
 
 # Two objective values within this distance count as tied; ties go to the
 # first assignment in enumeration order.
@@ -179,7 +179,7 @@ def _solve_exact(instance: Instance,
     rec(0, 0.0)
     pairsum, first = next((v, lab) for v, lab in improving if v <= best_value + TIE_TOL)
     assignment = Assignment(first, instance.set_sizes)
-    value = _frobenius(assignment.entries, data, instance.modality_count)
+    value = _labelling_values(first, data, 0.0)[0]
     incremental = data.frob_const + pairsum
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(

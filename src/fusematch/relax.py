@@ -14,6 +14,7 @@ fuses an instance; the exact objective is read from its data too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -151,6 +152,22 @@ def _frobenius(U: np.ndarray, data: RelaxationData, count: int) -> float:
     return (data.frob_const + float((gram * data.abar).sum())
             + count * (float((gram * gram).sum()) - float(gram.sum())
                        + data.num_elements - float(np.trace(gram))))
+
+
+def _labelling_values(labels: Sequence[int] | np.ndarray, data: RelaxationData,
+                      d: float) -> tuple[float, float]:
+    """``(frobenius_objective, relaxed_objective at d)`` of a feasible
+    labelling, one label per element, from one mask.  Its one-hot U has
+    U U^T = the 0/1 mask of label-sharing pairs, diagonal included, so with
+    S = <mask, abar> the Frobenius value is frob_const + S (the K term of
+    ``_frobenius`` vanishes) and the relaxed value is S - d m (the penalty
+    is -m at a feasible binary point).  S is summed over the same m x m
+    layout as ``(U U^T * abar).sum()``, so both values equal the dense ones
+    bit for bit."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    pairsum = float((data.abar * same).sum())
+    return data.frob_const + pairsum, pairsum - d * data.num_elements
 
 
 def frobenius_objective(U: np.ndarray, instance: Instance) -> float:

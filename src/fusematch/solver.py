@@ -33,6 +33,7 @@ converged solve it agrees with the last stage's objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,7 +42,7 @@ import numpy as np
 from .core import Assignment, Instance, _check_counts, feasibility_report
 # relaxed_gradient and frobenius_objective: not called (see pgd_inner and solve), but
 # perfbench/tracing.py rebinds them and tests/test_perfbench_contract.py guards them
-from .relax import (RelaxationData, _frobenius, build_relaxation,  # noqa: F401
+from .relax import (RelaxationData, _labelling_values, build_relaxation,  # noqa: F401
                     frobenius_objective, relaxed_gradient, relaxed_objective,
                     stage_matrix)
 
@@ -133,8 +134,9 @@ def project(U: np.ndarray) -> np.ndarray:
     lowered by the threshold tau = max_j (c_j - 1) / j over the prefix sums
     c_j of its descending sort (Condat 2016) and clamped again.  tau is
     clamped at 0, so a row above the cap only by rounding keeps its zeros.
-    Output rows satisfy both constraints exactly, so re-projection is an
-    exact no-op.
+    The sort and tau run only when some row is over the cap; a matrix whose
+    clamped rows all fit is returned after the clamp.  Output rows satisfy
+    both constraints exactly, so re-projection is an exact no-op.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
@@ -142,15 +144,19 @@ def project(U: np.ndarray) -> np.ndarray:
     if not np.isfinite(U).all():
         raise ValueError("projection input must be finite")
     Y = np.maximum(U, 0.0)
-    ascending = np.sort(Y, axis=1)
-    # past a row's last positive entry c_j stays put and (c_j - 1) / j falls
-    # or stays <= 0, so the prefixes up to the widest support give tau
-    width = np.count_nonzero(ascending.any(axis=0))
-    csum = np.cumsum(ascending[:, ::-1][:, :width], axis=1)
-    tau = ((csum - 1.0) / np.arange(1, width + 1)).max(axis=1, initial=0.0)
-    Y = np.maximum(Y - np.where(Y.sum(axis=1) > 1.0, tau, 0.0)[:, None], 0.0)
-    # float guard: shave ulp-level overshoot so the cap holds exactly
     row_sums = Y.sum(axis=1)
+    over = row_sums > 1.0
+    if over.any():
+        ascending = np.sort(Y, axis=1)
+        # past a row's last positive entry c_j stays put and (c_j - 1) / j
+        # falls or stays <= 0, so the prefixes up to the widest support give tau
+        width = np.count_nonzero(ascending.any(axis=0))
+        csum = np.cumsum(ascending[:, ::-1][:, :width], axis=1)
+        tau = ((csum - 1.0) / np.arange(1, width + 1)).max(axis=1, initial=0.0)
+        Y -= np.where(over, tau, 0.0)[:, None]
+        np.maximum(Y, 0.0, out=Y)
+        row_sums = Y.sum(axis=1)
+    # float guard: shave ulp-level overshoot so the cap holds exactly
     for _ in range(100):
         over = row_sums > 1.0
         if not over.any():
@@ -209,8 +215,8 @@ def merge_private(U: np.ndarray, support: np.ndarray, stage: np.ndarray,
     ``stage_u`` = M_d U are updated in place, the last by M_d[:, R] dU_R over
     the merged rows R.  Returns |R| and the sum over R of S^2 - sum u^2.
     """
-    private = support & (np.count_nonzero(support, axis=0) == 1)
-    rows = np.flatnonzero(np.count_nonzero(private, axis=1) >= 2)
+    private = support & (support.sum(axis=0) == 1)
+    rows = np.flatnonzero(private.sum(axis=1) >= 2)
     if rows.size == 0:
         return 0, 0.0
     mask, old = private[rows], U[rows]
@@ -237,9 +243,9 @@ def fill_lone_rows(U: np.ndarray, support: np.ndarray, stage: np.ndarray,
     over the filled rows R, whose columns are distinct since each is
     private.  Returns |R| and the sum over R of (1 - u)^2.
     """
-    rows = np.flatnonzero(np.count_nonzero(support, axis=1) == 1)
+    rows = np.flatnonzero(support.sum(axis=1) == 1)
     cols = support[rows].argmax(axis=1)
-    keep = ((np.count_nonzero(support, axis=0)[cols] == 1)
+    keep = ((support.sum(axis=0)[cols] == 1)
             & (U[rows, cols] < 1.0))
     if not keep.any():
         return 0, 0.0
@@ -260,7 +266,9 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     t D 1, the gradient is 2 M_d U + 2 d (2 r - 1) 1^T, the step's curvature
     is q = <D, M_d D> + 2 d ||D 1||^2, and the objective is tracked as
     f + t g + t^2 q, then recomputed with ``relaxed_objective`` where the
-    stage returns.  The direction is D = project(U - s grad) - U.  The step
+    stage returns.  The gradient, U - s grad and M_d D are written into one
+    buffer each for the stage.  The direction is D = project(U - s grad) - U,
+    and ``project`` takes tau only for rows over the cap.  The step
     length s is 1 until the support (U > 0) has not changed for SETTLE
     accepted iterations; from then on it is the Barzilai-Borwein length
     <dU, dU> / <dU, d grad> of the last step, which for the quadratic f is
@@ -286,18 +294,27 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
     value = relaxed_objective(U, data, d)
     stage = stage_matrix(data, d)
     stage_u, row_sums = stage @ U, U.sum(axis=1)
+    grad, trial, stage_d = np.empty_like(U), np.empty_like(U), np.empty_like(U)
     support, settled, step_length = U > 0.0, 0, 1.0
     iterations, merges, fills, stop = 0, 0, 0, "max_iters"
     for _ in range(config.max_inner_iters):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise FloatingPointError("relaxed objective became non-finite")
-        grad = 2.0 * stage_u + (2.0 * d * (2.0 * row_sums - 1.0))[:, None]
-        direction = project(U - step_length * grad) - U
-        norm = float(np.linalg.norm(direction))
+        np.multiply(stage_u, 2.0, out=grad)
+        grad += (2.0 * d * (2.0 * row_sums - 1.0))[:, None]
+        if step_length == 1.0:
+            np.subtract(U, grad, out=trial)
+        else:
+            np.multiply(grad, step_length, out=trial)
+            np.subtract(U, trial, out=trial)
+        direction = project(trial)
+        direction -= U
+        norm = math.sqrt(np.vdot(direction, direction))
         if norm <= tol:
             stop = "tol"
             break
-        stage_d, direction_sums = stage @ direction, direction.sum(axis=1)
+        np.matmul(stage, direction, out=stage_d)
+        direction_sums = direction.sum(axis=1)
         curvature = (float(np.vdot(direction, stage_d))
                      + 2.0 * d * float(direction_sums @ direction_sums))
         step = armijo_search(U, direction, f0=value, grad=grad, curvature=curvature)
@@ -309,13 +326,13 @@ def pgd_inner(U0: np.ndarray, data: RelaxationData, d: float,
         row_sums += step.alpha * direction_sums
         iterations += 1
         new_support = U > 0.0
-        same = np.array_equal(new_support, support)
+        same = (new_support == support).all()
         if iterations == 1 or not same:
             merged, gain = merge_private(U, new_support, stage, stage_u)
             value -= d * gain
             merges += merged
             if merged:
-                same = np.array_equal(new_support, support)
+                same = (new_support == support).all()
         if same:
             settled += 1
             if settled == 1:
@@ -382,12 +399,15 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     that is the argmax of each row, and after the last weight a greedy
     repair.  Returns a feasible binary assignment in all cases;
     ``converged`` is False exactly when the last weight ran without
-    converging.
+    converging.  The stage jitter's generator is built only when a second
+    stage runs.  ``frobenius_value`` and ``relaxed_value`` come from the
+    output labels' mask through ``_labelling_values``, and equal the dense
+    values at its one-hot matrix bit for bit.
     """
     cfg = config if config is not None else SolverConfig()
     data = build_relaxation(instance)
     U = initialize(instance, cfg)
-    jitter_rng = np.random.default_rng((cfg.rng_seed, 1))
+    jitter_rng = None
     trace: list[StageRecord] = []
     converged = False
     for d in penalty_weights(instance.modality_count):
@@ -400,6 +420,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
             # breaks the symmetry; concentration then amplifies it.  Without
             # the kick, 3 of the 618 paper-small and solve-mid benchmark
             # solves (chunks 0-2, seeds 1 and 14990) end in the repair.
+            if jitter_rng is None:
+                jitter_rng = np.random.default_rng((cfg.rng_seed, 1))
             U = project(U + STAGE_JITTER * jitter_rng.random(U.shape))
         inner = pgd_inner(U, data, d, cfg)
         U = inner.point
@@ -412,9 +434,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
             converged = True
             break
     cols = _repair(U, data.abar, data.set_index)
-    assignment = Assignment(cols.tolist(), instance.set_sizes)
-    relaxed_value = relaxed_objective(assignment.entries, data, trace[-1].d)
-    frob_value = _frobenius(assignment.entries, data, instance.modality_count)
-    return SolverResult(assignment=assignment, relaxed_value=relaxed_value,
+    frob_value, relaxed_value = _labelling_values(cols, data, trace[-1].d)
+    return SolverResult(assignment=Assignment(cols.tolist(), instance.set_sizes),
+                        relaxed_value=relaxed_value,
                         frobenius_value=frob_value, trace=tuple(trace),
                         converged=converged)

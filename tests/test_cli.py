@@ -871,6 +871,34 @@ def test_help_exits_zero(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: fusematch {command} ")
 
 
+@pytest.mark.parametrize("command, name", [("solve", "solve"), ("oracle", "_solve_exact"),
+                                           ("check", "build_relaxation")])
+@pytest.mark.parametrize("text, message", [
+    ("Unable to allocate 8.00 GiB for an array with shape (32768, 32768) and data type "
+     "float64", "error: out of memory: Unable to allocate 8.00 GiB for an array with "
+                "shape (32768, 32768) and data type float64\n"),
+    ("", "error: out of memory\n")], ids=["numpy", "bare"])
+def test_out_of_memory_exits_one(command, name, text, message, instance_file, tmp_path,
+                                 capsys, monkeypatch):
+    # an allocation that fails ends in an error line and exit 1, not a
+    # traceback; the failing call is stubbed, so nothing large is allocated
+    inst_path, _, _, _ = instance_file
+    result = tmp_path / "result.json"
+    assert main(["solve", str(inst_path), "--out", str(result)]) == 0
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(text) if text else MemoryError
+
+    monkeypatch.setattr(fusematch.cli, name, out_of_memory)
+    argv = {"solve": ["solve", str(inst_path), "--out", str(tmp_path / "again.json")],
+            "oracle": ["oracle", str(inst_path)],
+            "check": ["check", str(result), str(inst_path)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (message, "")
+
+
 class TestBenchCommand:
     """The subcommands sweep and ablation, which run fusematch.bench's studies."""
 

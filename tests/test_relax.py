@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusematch import (
     Instance,
@@ -21,7 +23,8 @@ from fusematch import (
     solve_exact,
 )
 from fusematch import cli, oracle, relax, solver
-from fusematch.relax import frobenius_from_mats, stage_matrix
+from fusematch.relax import (_frobenius, _labelling_values, frobenius_from_mats,
+                             stage_matrix)
 from fusematch import build_modality_matrices
 
 from conftest import polarized_curvature, random_feasible_assignment, random_instance
@@ -375,3 +378,21 @@ class TestOneFusionPerCall:
         calls.clear()
         assert cli.main(["check", str(out), str(inst_path)]) == 0
         assert dict(calls) == {"build_relaxation": 1}
+
+
+class TestLabellingValues:
+    """solve, solve_exact and fusematch oracle read a labelling's values from
+    one label mask; they must be the dense ones at its one-hot matrix, bit
+    for bit, so that one labelling gets one float whoever reports it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           d=st.one_of(st.sampled_from([0.0, 0.02, 1.5, 1e4]), st.floats(0.0, 1e4)))
+    def test_equal_dense_values_exactly(self, seed, d):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, max_universe=5, max_sets=5)
+        assignment = random_feasible_assignment(rng, inst.set_sizes)
+        data = build_relaxation(inst)
+        frobenius, relaxed = _labelling_values(assignment.labels, data, d)
+        assert frobenius == _frobenius(assignment.entries, data, inst.modality_count)
+        assert relaxed == relaxed_objective(assignment.entries, data, d)

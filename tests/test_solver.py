@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusematch import (
     Instance,
@@ -24,11 +26,13 @@ from fusematch import (
     solve_exact,
 )
 from fusematch import solver as solver_module
+from fusematch.bench import SWEEP_BASE
 from fusematch.relax import (RelaxationData, relaxed_gradient, relaxed_objective,
                             stage_matrix)
 from fusematch.solver import (INNER_TOL, SETTLE, STOP_REASONS, armijo_search,
                               fill_lone_rows, initialize, merge_private, penalty_weights,
                               pgd_inner)
+from fusematch.synth import derive_seed
 
 from conftest import polarized_curvature, qp_projection_oracle, random_instance
 
@@ -112,6 +116,79 @@ class TestProjection:
         np.testing.assert_allclose(
             project_row(big), qp_projection_oracle(big), atol=1e-8
         )
+
+
+def project_reference(U):
+    """``project`` the plain way: every row sorted and tau taken for every
+    row, then applied where the row sum is over 1.  ``project`` skips the
+    sort when no clamped row is over the cap, and must match this bit for
+    bit."""
+    Y = np.maximum(np.asarray(U, dtype=float), 0.0)
+    ascending = np.sort(Y, axis=1)
+    width = np.count_nonzero(ascending.any(axis=0))
+    csum = np.cumsum(ascending[:, ::-1][:, :width], axis=1)
+    tau = ((csum - 1.0) / np.arange(1, width + 1)).max(axis=1, initial=0.0)
+    Y = np.maximum(Y - np.where(Y.sum(axis=1) > 1.0, tau, 0.0)[:, None], 0.0)
+    row_sums = Y.sum(axis=1)
+    for _ in range(100):
+        over = row_sums > 1.0
+        if not over.any():
+            break
+        Y[over] /= row_sums[over, None]
+        row_sums = Y.sum(axis=1)
+    return Y
+
+
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, -0.5, 1 / 3]),
+                    st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def capped_matrices(draw):
+    """1 to 8 rows of width 0 to 8, each drawn free, under the row cap, at
+    it (k equal entries 1/k) or over it, with negative entries and ties."""
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    X = np.array(draw(st.lists(ENTRIES, min_size=rows * width, max_size=rows * width)),
+                 dtype=float).reshape(rows, width)
+    for row in X if width else ():
+        kind = draw(st.sampled_from(["free", "under", "at", "over"]))
+        if kind == "under":
+            row /= 2.0 * max(np.maximum(row, 0.0).sum(), 1.0)
+        elif kind == "at":
+            k = draw(st.sampled_from([k for k in (1, 2, 4) if k <= width]))
+            np.minimum(row, 0.0, out=row)
+            row[:k] = 1.0 / k
+        elif kind == "over":
+            row[0] = 1.5 + abs(row[0])
+    return X
+
+
+class TestProjectionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(X=capped_matrices())
+    @example(X=np.zeros((3, 0)))
+    @example(X=np.array([[0.5, 0.5], [2.0, -1.0], [0.25, 0.25], [0.3, 0.3]]))
+    # under the cap in stored order, yet its descending prefix sums pass 1
+    # by rounding: tau is positive but the row must stay as it is
+    @example(X=np.array([[0.1, 0.2, 0.4, 0.15, 0.15], [0.7, 0.6, 0.0, 0.0, -1.0]]))
+    def test_matches_sort_every_row(self, X):
+        np.testing.assert_array_equal(project(X), project_reference(X))
+
+    def test_solver_iterates_match_sort_every_row(self, rng, monkeypatch):
+        # every matrix the solver projects on a ladder rung and on random
+        # instances, whose rows are mostly wide and sparse
+        calls = []
+
+        def checking(U):
+            calls.append(np.array_equal(project(U), project_reference(U)))
+            return project(U)
+
+        monkeypatch.setattr(solver_module, "project", checking)
+        ladder, _ = generate(replace(SWEEP_BASE, universe_size=10, num_sets=5,
+                                     outliers_per_run=2, rng_seed=1))
+        for inst in [ladder] + [random_instance(rng) for _ in range(6)]:
+            solve(inst, SolverConfig(rng_seed=int(rng.integers(2**31))))
+        assert len(calls) > 50 and all(calls)
 
 
 def search_at_d1(U, direction, data):
@@ -667,6 +744,54 @@ class TestSolve:
         assert len(res.trace) >= 1
         ds = [stage.d for stage in res.trace]
         assert all(b > a for a, b in zip(ds, ds[1:]))
+
+
+# labels, per-stage (inner_iterations, stop, merges, fills), frobenius_value
+# and relaxed_value of seven solves, recorded from this solver: the size
+# ladder at m = 52 (instance seeds 1-3, solver seed 0) and four paper sweep
+# instances whose paths take two stages, a spectral step, 22 iterations, or
+# several merges and fills.  A change meant to leave the descent alone, such
+# as a speed-up, must reproduce them; one that alters the path must update
+# them and say why.  Cases are named ladder-<m>-<instance seed> and
+# sweep-<n_o>-<trial>
+LADDER_LABELS = tuple(range(11)) + tuple(range(10)) + (11,) + tuple(range(10)) * 3
+PINNED_PATHS = {
+    "ladder-52-1": (LADDER_LABELS, [(9, "tol", 2, 1)],
+                    374.6574394200951, -274.94457748079066),
+    "ladder-52-2": (LADDER_LABELS, [(5, "tol", 2, 0)],
+                    372.37018082487623, -292.4349897190904),
+    "ladder-52-3": (LADDER_LABELS, [(9, "tol", 3, 2)],
+                    391.93425412482605, -256.66022466452966),
+    "sweep-0-11": ((0, 1, 2, 0, 3, 2, 0, 3, 2), [(6, "tol", 0, 1), (6, "tol", 0, 1)],
+                   10.886245487388862, -23.68201683274261),
+    "sweep-0-23": ((0, 1, 2, 0, 1, 2, 0, 1, 2), [(22, "tol", 1, 0)],
+                   5.462834878976501, -20.89778675176854),
+    "sweep-2-13": ((0, 1, 2, 3, 0, 1, 2, 4, 0, 1, 2), [(17, "tol", 1, 2)],
+                   14.736766503007786, -19.20681914295772),
+    "sweep-2-32": ((0, 1, 2, 3, 0, 1, 2, 4, 0, 5, 2), [(10, "tol", 2, 3)],
+                   14.120463524666555, -22.96005366715007),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_PATHS)
+def test_solver_path_is_pinned(case):
+    kind, first, second = case.split("-")
+    if kind == "ladder":
+        # perfbench's LADDER: the sweep's corruption model, 5 sets of 10, 2 outliers
+        cfg = replace(SWEEP_BASE, universe_size=10, num_sets=5, outliers_per_run=2,
+                      rng_seed=int(second))
+        solver_seed = 0
+    else:   # outlier count n_o and trial t as in the paper's gap sweep
+        n_o, t = int(first), int(second)
+        cfg = replace(SWEEP_BASE, outliers_per_run=n_o, rng_seed=derive_seed(0, n_o, t))
+        solver_seed = derive_seed(0, n_o, t, 1)
+    labels, stages, frobenius, relaxed = PINNED_PATHS[case]
+    res = solve(generate(cfg)[0], SolverConfig(rng_seed=solver_seed))
+    assert res.converged
+    assert res.assignment.labels == labels
+    assert [(s.inner_iterations, s.stop, s.merges, s.fills) for s in res.trace] == stages
+    assert res.frobenius_value == pytest.approx(frobenius, rel=1e-12)
+    assert res.relaxed_value == pytest.approx(relaxed, rel=1e-12)
 
 
 def all_ones(count: int) -> Instance:
