@@ -64,8 +64,8 @@ from .bench import (SWEEP_BASE, SWEEP_OUTLIERS, ablation, format_ablation_table,
 from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F401
                    InvalidInstanceError, _check_sizes, check_cycle_consistency,
                    check_feasible, pairwise_from_assignment)
-from .oracle import InstanceTooLargeError, OracleConfig, _solve_exact
-from .relax import _frobenius, _labelling_values, build_relaxation, relaxed_objective
+from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
+from .relax import _labelling_values
 from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
                      penalty_weights, solve)
 from .synth import (DEFAULT_SUITE_BASE, GroundTruth, SynthConfig, derive_seed,
@@ -368,9 +368,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     cfg = OracleConfig(max_elements=args.max_elements)
-    exact, data = _solve_exact(instance, cfg)
-    # written as a converged solve with an empty trace, so relaxed at d = 0
-    relaxed = _labelling_values(exact.assignment.labels, data, 0.0)[1]
+    exact = solve_exact(instance, cfg)
+    # written as a converged solve with an empty trace, so relaxed at d = 0, by
+    # the stored-pair formula that gave exact.value
+    relaxed = _labelling_values(exact.assignment.labels, instance, 0.0)[1]
     result = SolverResult(assignment=exact.assignment, relaxed_value=relaxed,
                           frobenius_value=exact.value, trace=(), converged=True)
     _dump_json(result_payload(result, asdict(cfg)), args.out)
@@ -439,7 +440,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 1
     labels = [seen[r] for r in range(m)]
     try:
-        assignment = Assignment(labels, instance.set_sizes)
+        Assignment(labels, instance.set_sizes)
     except InfeasibleAssignmentError as exc:
         print(f"infeasible clusters: {exc}")
         return 1
@@ -450,11 +451,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         if error:
             print(error)
             return 1
-        data, trace, U = build_relaxation(instance), result["trace"], assignment.entries
-        # relaxed value: at the last stage's d, or at 0 for an empty (oracle) trace
-        relaxed = relaxed_objective(U, data, trace[-1]["d"] if trace else 0.0)
-        for field, value in (("frobenius_value", _frobenius(U, data, instance.modality_count)),
-                             ("relaxed_value", relaxed)):
+        # from the stored pairs, with no m x m array; relaxed at the last
+        # stage's d, or at 0 for an empty (oracle) trace
+        trace = result["trace"]
+        frobenius, relaxed = _labelling_values(labels, instance,
+                                               trace[-1]["d"] if trace else 0.0)
+        for field, value in (("frobenius_value", frobenius), ("relaxed_value", relaxed)):
             if not _agree(result[field], value, VALUE_RTOL):
                 print(f"{field} {result[field]!r} does not match the recomputed {value!r}")
                 return 1

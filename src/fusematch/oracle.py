@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Assignment, Instance, _check_counts
-from .relax import RelaxationData, _labelling_values, build_relaxation
+from .relax import _labelling_values, build_relaxation
 
 # Two objective values within this distance count as tied; ties go to the
 # first assignment in enumeration order.
@@ -119,15 +119,9 @@ def solve_exact(instance: Instance,
     leaf seen.  Returns the first assignment in enumeration order within
     TIE_TOL of the minimum: every leaf before it lies above it, so the
     pruning never discards it.  The returned value is recomputed from the
-    whole assignment as a cross-check on the incremental arithmetic.
+    whole assignment's stored pairs, a formula independent of the abar rows
+    the search reads, as a cross-check on the incremental arithmetic.
     """
-    return _solve_exact(instance, config)[0]
-
-
-def _solve_exact(instance: Instance,
-                 config: OracleConfig | None) -> tuple[OracleResult, RelaxationData]:
-    """solve_exact's result and the relaxation data it was found on, for a
-    caller that evaluates more of the objective on the same fusion."""
     cfg = config if config is not None else OracleConfig()
     _check_cap(instance, cfg)
     data = build_relaxation(instance)
@@ -178,10 +172,9 @@ def _solve_exact(instance: Instance,
 
     rec(0, 0.0)
     pairsum, first = next((v, lab) for v, lab in improving if v <= best_value + TIE_TOL)
-    assignment = Assignment(first, instance.set_sizes)
-    value = _labelling_values(first, data, 0.0)[0]
+    value = _labelling_values(first, instance, 0.0)[0]
     incremental = data.frob_const + pairsum
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(
             f"incremental objective {incremental} disagrees with recomputed {value}")
-    return OracleResult(assignment=assignment, value=value), data
+    return OracleResult(assignment=Assignment(first, instance.set_sizes), value=value)

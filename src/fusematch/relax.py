@@ -7,8 +7,9 @@ term collapses to <U U^T, abar> plus a constant, where abar fuses all
 modalities into one signed affinity matrix.  The relaxation optimizes that
 inner product over nonnegative U with row sums at most one, adding penalty
 terms that vanish exactly on feasible binary points.  It is the one function
-the solver descends and reports.  ``build_relaxation`` is the one place that
-fuses an instance; the exact objective is read from its data too.
+the solver descends and reports.  ``_fused_pairs`` is the one place that
+fuses an instance, for ``build_relaxation``'s abar and for a labelling's
+values in ``_labelling_values``.
 """
 
 from __future__ import annotations
@@ -55,30 +56,36 @@ class RelaxationData:
         return self.abar.shape[0]
 
 
+def _fused_pairs(instance: Instance) -> tuple[np.ndarray, float]:
+    """Each stored pair's fused value K - 2 sum_k s_k, summed in modality
+    order as the dense stack's ``mats.sum(axis=0)`` is, so bit for bit at
+    every K; and frob_const, K/4 per unstored ordered cross-set pair plus
+    2 sum_k s_k^2 per stored pair."""
+    m, count = instance.num_elements, instance.modality_count
+    (a, b), scores = instance.pairs.T, instance.scores
+    fused = count - 2.0 * sum(scores.T[1:], scores[:, 0])
+    cross_entries = m * m - sum(s * s for s in instance.set_sizes)
+    stored_cross = 2 * int((instance.set_index[a] != instance.set_index[b]).sum())
+    frob_const = (0.25 * count * (cross_entries - stored_cross)
+                  + 2.0 * float((scores ** 2).sum()))
+    return fused, frob_const
+
+
 def build_relaxation(instance: Instance) -> RelaxationData:
     """Fuse an instance's stored pairs into relaxation data.  Defaults give
-    abar 0 on the diagonal, K within a set and 0 across sets, and frob_const
-    K/4 per unstored ordered cross-set pair; a stored pair's entries are
-    K - 2 sum_k s_k, adding 2 sum_k s_k^2.  The modality sum runs in order
-    k = 0, ..., K-1, as the dense stack's ``mats.sum(axis=0)`` does, so
-    abar's off-diagonal matches it bit for bit at every K."""
+    abar 0 on the diagonal, K within a set and 0 across sets; a stored
+    pair's two entries are its ``_fused_pairs`` value."""
     m, count = instance.num_elements, instance.modality_count
     abar = np.zeros((m, m))
     for offset, size in zip(instance.set_offsets, instance.set_sizes):
         abar[offset:offset + size, offset:offset + size] = count
     np.fill_diagonal(abar, 0.0)
-    (a, b), scores = instance.pairs.T, instance.scores
-    fused = count - 2.0 * sum(scores.T[1:], scores[:, 0])
-    abar[a, b] = fused
-    abar[b, a] = fused
+    fused, frob_const = _fused_pairs(instance)
+    a, b = instance.pairs.T
+    abar[a, b] = abar[b, a] = fused
     abar.setflags(write=False)
-    set_index = instance.set_index
-    cross_entries = m * m - sum(s * s for s in instance.set_sizes)
-    stored_cross = 2 * int((set_index[a] != set_index[b]).sum())
-    frob_const = (0.25 * count * (cross_entries - stored_cross)
-                  + 2.0 * float((scores ** 2).sum()))
     return RelaxationData(abar=abar, frob_const=frob_const,
-                          set_offsets=instance.set_offsets, set_index=set_index)
+                          set_offsets=instance.set_offsets, set_index=instance.set_index)
 
 
 def _check_u(U: np.ndarray, m: int) -> np.ndarray:
@@ -141,35 +148,31 @@ def frobenius_from_mats(U: np.ndarray, mats: np.ndarray) -> float:
     return float(((gram[None, :, :] - mats) ** 2).sum())
 
 
-def _frobenius(U: np.ndarray, data: RelaxationData, count: int) -> float:
-    """``frobenius_objective`` from the relaxation data of K = ``count``
-    modalities.  With G = U U^T it is frob_const + <G, abar> + K (||G||^2
-    - sum G + m - ||U||_F^2), where K (m - ||U||_F^2) is the -K diagonal that
-    ``RelaxationData`` folds into frob_const; the K term vanishes on binary
-    feasible U, where G is 0/1 and every row norm is 1."""
-    U = _check_u(U, data.num_elements)
-    gram = U @ U.T
-    return (data.frob_const + float((gram * data.abar).sum())
-            + count * (float((gram * gram).sum()) - float(gram.sum())
-                       + data.num_elements - float(np.trace(gram))))
-
-
-def _labelling_values(labels: Sequence[int] | np.ndarray, data: RelaxationData,
+def _labelling_values(labels: Sequence[int] | np.ndarray, instance: Instance,
                       d: float) -> tuple[float, float]:
     """``(frobenius_objective, relaxed_objective at d)`` of a feasible
-    labelling, one label per element, from one mask.  Its one-hot U has
-    U U^T = the 0/1 mask of label-sharing pairs, diagonal included, so with
-    S = <mask, abar> the Frobenius value is frob_const + S (the K term of
-    ``_frobenius`` vanishes) and the relaxed value is S - d m (the penalty
-    is -m at a feasible binary point).  S is summed over the same m x m
-    layout as ``(U U^T * abar).sum()``, so both values equal the dense ones
-    bit for bit."""
+    labelling, one label per element, in O(P + m) with no m x m array.  At
+    its one-hot U, S = <U U^T, abar> is twice the fused values of the stored
+    pairs whose labels match: abar is 0 on the diagonal and on unstored
+    cross-set pairs, and no feasible labelling joins two elements of a set.
+    The Frobenius value is frob_const + S (the K term of
+    ``frobenius_objective`` vanishes) and the relaxed value S - d m (the
+    penalty is -m at a feasible binary point)."""
+    fused, frob_const = _fused_pairs(instance)
     labels = np.asarray(labels)
-    same = labels[:, None] == labels[None, :]
-    pairsum = float((data.abar * same).sum())
-    return data.frob_const + pairsum, pairsum - d * data.num_elements
+    a, b = instance.pairs.T
+    pairsum = 2.0 * float(fused[labels[a] == labels[b]].sum())
+    return frob_const + pairsum, pairsum - d * instance.num_elements
 
 
 def frobenius_objective(U: np.ndarray, instance: Instance) -> float:
-    """Exact association objective sum_k ||U U^T - S_k||_F^2 at any U."""
-    return _frobenius(U, build_relaxation(instance), instance.modality_count)
+    """Exact association objective sum_k ||U U^T - S_k||_F^2 at any U: with
+    G = U U^T, frob_const + <G, abar> + K (||G||^2 - sum G + m - ||U||_F^2).
+    K (m - ||U||_F^2) is the -K diagonal that ``RelaxationData`` folds into
+    frob_const; the K term vanishes on binary feasible U (G is 0/1)."""
+    data = build_relaxation(instance)
+    U = _check_u(U, data.num_elements)
+    gram = U @ U.T
+    return (data.frob_const + float((gram * data.abar).sum())
+            + instance.modality_count * (float((gram * gram).sum()) - float(gram.sum())
+                                         + data.num_elements - float(np.trace(gram))))

@@ -401,8 +401,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
     ``converged`` is False exactly when the last weight ran without
     converging.  The stage jitter's generator is built only when a second
     stage runs.  ``frobenius_value`` and ``relaxed_value`` come from the
-    output labels' mask through ``_labelling_values``, and equal the dense
-    values at its one-hot matrix bit for bit.
+    output labels and the instance's stored pairs through
+    ``_labelling_values``, with no m x m array.
     """
     cfg = config if config is not None else SolverConfig()
     data = build_relaxation(instance)
@@ -434,7 +434,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolverResul
             converged = True
             break
     cols = _repair(U, data.abar, data.set_index)
-    frob_value, relaxed_value = _labelling_values(cols, data, trace[-1].d)
+    frob_value, relaxed_value = _labelling_values(cols, instance, trace[-1].d)
     return SolverResult(assignment=Assignment(cols.tolist(), instance.set_sizes),
                         relaxed_value=relaxed_value,
                         frobenius_value=frob_value, trace=tuple(trace),

@@ -9,6 +9,7 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -648,6 +649,29 @@ class TestCheckCommand:
         assert main(["check", str(out), str(inst_path)]) == 0
         assert "ok:" in capsys.readouterr().out
 
+    def test_large_complete_result_allocates_no_square_array(self, tmp_path, capsys):
+        # m = 2000 with one stored pair, (0, 1000) at 0.9, joined and every
+        # other element alone, as an oracle result: 2 * 10^6 - 2 ordered
+        # unstored cross-set pairs at (0 - 0.5)^2 plus 2 (1 - 0.9)^2 give the
+        # Frobenius value, 2 (1 - 2 * 0.9) the relaxed value at d = 0.  One
+        # m x m float64 array would take 32 MB.
+        m = 2000
+        inst_path, out = tmp_path / "instance.json", tmp_path / "result.json"
+        write_instance(Instance((1000, 1000), 1, [(0, 1000)], [(0.9,)]), inst_path)
+        clusters = [[0, 1000]] + [[r] for r in range(1, m) if r != 1000]
+        out.write_text(json.dumps({
+            "clusters": clusters, "relaxed_value": -1.6,
+            "frobenius_value": 0.25 * (2 * 1000 * 1000 - 2) + 0.02, "converged": True,
+            "trace": [], "config": {"max_elements": 12}}))
+        tracemalloc.start()
+        try:
+            assert main(["check", str(out), str(inst_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == "ok: clusters are feasible and cycle consistent\n"
+        assert peak < m * m
+
     def test_clusters_only_result_passes(self, tmp_path, capsys):
         inst_path, out = self._solve_to_file(tmp_path)
         data = json.loads(out.read_text())
@@ -871,8 +895,8 @@ def test_help_exits_zero(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: fusematch {command} ")
 
 
-@pytest.mark.parametrize("command, name", [("solve", "solve"), ("oracle", "_solve_exact"),
-                                           ("check", "build_relaxation")])
+@pytest.mark.parametrize("command, name", [("solve", "solve"), ("oracle", "solve_exact"),
+                                           ("check", "_labelling_values")])
 @pytest.mark.parametrize("text, message", [
     ("Unable to allocate 8.00 GiB for an array with shape (32768, 32768) and data type "
      "float64", "error: out of memory: Unable to allocate 8.00 GiB for an array with "

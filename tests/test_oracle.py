@@ -19,7 +19,9 @@ from fusematch import (
     solve,
     solve_exact,
 )
+from fusematch import oracle
 from fusematch.oracle import TIE_TOL
+from fusematch.relax import _labelling_values
 from fusematch.synth import derive_seed
 
 from conftest import random_instance
@@ -133,8 +135,8 @@ class TestSolveExact:
 
     def test_equal_labels_give_equal_values(self):
         # on the paper's outlier sweep (acceptance criterion 2, m = 9 to 12)
-        # solve and solve_exact read the exact objective from their
-        # build_relaxation by one formula, so one labelling gets one float
+        # solve and solve_exact read the exact objective from the stored
+        # pairs by one formula, so one labelling gets one float
         # and a zero gap
         matched = 0
         for n_o in range(4):
@@ -193,6 +195,25 @@ class TestSolveExact:
         inst = Instance((1, 1), 1, [[0, 1]], [[score]])
         res = solve_exact(inst)
         assert res.assignment.num_clusters == 1
+
+    @pytest.mark.parametrize("offset, raises", [(1e-6, True), (1e-10, False)])
+    def test_incremental_value_guard(self, monkeypatch, offset, raises):
+        # the search sums abar's rows as it goes; the returned value is
+        # recomputed from the stored pairs, and the two must agree to rel 1e-8
+        inst, _ = generate(SynthConfig(universe_size=3, num_sets=3, noise_sigma=0.2,
+                                       rng_seed=5))
+        exact = solve_exact(inst).value
+
+        def shifted(labels, instance, d):
+            frobenius, relaxed = _labelling_values(labels, instance, d)
+            return frobenius + offset * max(1.0, abs(frobenius)), relaxed
+
+        monkeypatch.setattr(oracle, "_labelling_values", shifted)
+        if raises:
+            with pytest.raises(RuntimeError, match="incremental objective .* disagrees"):
+                solve_exact(inst)
+        else:
+            assert solve_exact(inst).value == pytest.approx(exact, rel=1e-9)
 
     def test_objective_equivalence_of_expansions(self, rng):
         # minimizing the residual form and minimizing the aggregate inner

@@ -23,8 +23,7 @@ from fusematch import (
     solve_exact,
 )
 from fusematch import cli, oracle, relax, solver
-from fusematch.relax import (_frobenius, _labelling_values, frobenius_from_mats,
-                             stage_matrix)
+from fusematch.relax import _labelling_values, frobenius_from_mats, stage_matrix
 from fusematch import build_modality_matrices
 
 from conftest import polarized_curvature, random_feasible_assignment, random_instance
@@ -335,9 +334,10 @@ class TestFusedDataMatchesDenseStack:
 
 
 class TestOneFusionPerCall:
-    """solve, solve_exact, fusematch oracle and the check of a complete
-    result fuse their instance once and read the exact objective from that
-    fusion, not from ``frobenius_objective``, which fuses it again."""
+    """solve, solve_exact and fusematch oracle fuse their instance into abar
+    once and read a labelling's exact objective from its stored pairs, not
+    from ``frobenius_objective``, which fuses it again; the check of a
+    complete result builds no abar at all."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -377,13 +377,15 @@ class TestOneFusionPerCall:
         assert cli.main(["solve", str(inst_path), "--out", str(out)]) == 0
         calls.clear()
         assert cli.main(["check", str(out), str(inst_path)]) == 0
-        assert dict(calls) == {"build_relaxation": 1}
+        assert dict(calls) == {}
 
 
 class TestLabellingValues:
-    """solve, solve_exact and fusematch oracle read a labelling's values from
-    one label mask; they must be the dense ones at its one-hot matrix, bit
-    for bit, so that one labelling gets one float whoever reports it."""
+    """solve, solve_exact, fusematch oracle and fusematch check read a
+    labelling's values from its stored pairs; they must agree with the dense
+    values at its one-hot matrix to rel 1e-12, and depend only on which
+    pairs share a label, so that one labelling gets one float whoever
+    reports it, whatever label ids it carries."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -392,7 +394,29 @@ class TestLabellingValues:
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, max_universe=5, max_sets=5)
         assignment = random_feasible_assignment(rng, inst.set_sizes)
-        data = build_relaxation(inst)
-        frobenius, relaxed = _labelling_values(assignment.labels, data, d)
-        assert frobenius == _frobenius(assignment.entries, data, inst.modality_count)
-        assert relaxed == relaxed_objective(assignment.entries, data, d)
+        frobenius, relaxed = _labelling_values(assignment.labels, inst, d)
+        assert frobenius == pytest.approx(frobenius_objective(assignment.entries, inst),
+                                          rel=1e-12, abs=1e-12)
+        assert relaxed == pytest.approx(
+            relaxed_objective(assignment.entries, build_relaxation(inst), d),
+            rel=1e-12, abs=1e-12)
+        # exactly: other label ids for the same clusters, as solve's column
+        # indices are before Assignment renumbers them
+        ids = rng.permutation(inst.num_elements) + 7
+        assert _labelling_values(ids[list(assignment.labels)], inst, d) == (frobenius,
+                                                                            relaxed)
+
+    def test_corpus_against_dense_stack(self):
+        rng = np.random.default_rng(11)
+        for inst in _corpus():
+            mats = build_modality_matrices(inst).mats
+            data = build_relaxation(inst)
+            for _ in range(3):
+                assignment = random_feasible_assignment(rng, inst.set_sizes)
+                U = assignment.entries
+                for d in (0.0, 1.5, 1e4 * inst.modality_count):
+                    frobenius, relaxed = _labelling_values(assignment.labels, inst, d)
+                    assert frobenius == pytest.approx(frobenius_from_mats(U, mats),
+                                                      rel=1e-12, abs=1e-12)
+                    assert relaxed == pytest.approx(relaxed_objective(U, data, d),
+                                                    rel=1e-12, abs=1e-12)

@@ -713,8 +713,8 @@ class TestSolve:
             converged += 1
             last = res.trace[-1]
             binary = res.assignment.entries.astype(float)
-            assert res.relaxed_value == relaxed_objective(
-                binary, build_relaxation(inst), last.d)
+            assert res.relaxed_value == pytest.approx(relaxed_objective(
+                binary, build_relaxation(inst), last.d), rel=1e-12, abs=1e-12)
             assert res.relaxed_value == pytest.approx(last.objective, rel=1e-6)
         assert converged >= 12
 
