@@ -120,7 +120,8 @@ def solve_exact(instance: Instance,
     TIE_TOL of the minimum: every leaf before it lies above it, so the
     pruning never discards it.  The returned value is recomputed from the
     whole assignment's stored pairs, a formula independent of the abar rows
-    the search reads, as a cross-check on the incremental arithmetic.
+    the search reads, as a cross-check on the incremental arithmetic; the
+    pairs' fused values are the ones ``build_relaxation`` filled abar from.
     """
     cfg = config if config is not None else OracleConfig()
     _check_cap(instance, cfg)
@@ -172,7 +173,7 @@ def solve_exact(instance: Instance,
 
     rec(0, 0.0)
     pairsum, first = next((v, lab) for v, lab in improving if v <= best_value + TIE_TOL)
-    value = _labelling_values(first, instance, 0.0)[0]
+    value = _labelling_values(first, data, 0.0)[0]
     incremental = data.frob_const + pairsum
     if abs(value - incremental) > 1e-8 * max(1.0, abs(value)):
         raise RuntimeError(

@@ -8,13 +8,14 @@ modalities into one signed affinity matrix.  The relaxation optimizes that
 inner product over nonnegative U with row sums at most one, adding penalty
 terms that vanish exactly on feasible binary points.  It is the one function
 the solver descends and reports.  ``_fused_pairs`` is the one place that
-fuses an instance, for ``build_relaxation``'s abar and for a labelling's
-values in ``_labelling_values``.
+fuses an instance, for ``build_relaxation``, which keeps the fused values
+beside abar, and for a labelling's values in ``_labelling_values`` when the
+caller holds only the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,9 @@ class RelaxationData:
     (positive entry).  ``frob_const`` shifts <U U^T, abar> back to the
     original least-squares value on binary feasible points.  ``set_offsets``
     and ``set_index`` are the instance's set structure, which the same-set
-    penalty reads.
+    penalty reads.  ``pairs`` are the instance's stored pairs and
+    ``pair_values`` their fused values, abar's entries there, from which
+    ``_labelling_values`` reads a labelling's values without fusing again.
 
     abar's diagonal is zero.  The exact expansion puts -K there, but
     <U U^T, diag(abar)> is -K m at every feasible binary point (all row
@@ -48,6 +51,8 @@ class RelaxationData:
     frob_const: float
     set_offsets: tuple[int, ...]
     set_index: np.ndarray
+    pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    pair_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     __eq__ = _value_eq
 
@@ -84,8 +89,10 @@ def build_relaxation(instance: Instance) -> RelaxationData:
     a, b = instance.pairs.T
     abar[a, b] = abar[b, a] = fused
     abar.setflags(write=False)
+    fused.setflags(write=False)
     return RelaxationData(abar=abar, frob_const=frob_const,
-                          set_offsets=instance.set_offsets, set_index=instance.set_index)
+                          set_offsets=instance.set_offsets, set_index=instance.set_index,
+                          pairs=instance.pairs, pair_values=fused)
 
 
 def _check_u(U: np.ndarray, m: int) -> np.ndarray:
@@ -148,21 +155,27 @@ def frobenius_from_mats(U: np.ndarray, mats: np.ndarray) -> float:
     return float(((gram[None, :, :] - mats) ** 2).sum())
 
 
-def _labelling_values(labels: Sequence[int] | np.ndarray, instance: Instance,
-                      d: float) -> tuple[float, float]:
+def _labelling_values(labels: Sequence[int] | np.ndarray,
+                      source: Instance | RelaxationData, d: float) -> tuple[float, float]:
     """``(frobenius_objective, relaxed_objective at d)`` of a feasible
-    labelling, one label per element, in O(P + m) with no m x m array.  At
+    labelling, one label per element, in O(P + m) with no m x m array.  The
+    stored pairs' fused values come from ``source``: an ``Instance`` is
+    fused here, and a ``RelaxationData`` holds the values its
+    ``build_relaxation`` fused, so a caller holding both fuses once.  At
     its one-hot U, S = <U U^T, abar> is twice the fused values of the stored
     pairs whose labels match: abar is 0 on the diagonal and on unstored
     cross-set pairs, and no feasible labelling joins two elements of a set.
     The Frobenius value is frob_const + S (the K term of
     ``frobenius_objective`` vanishes) and the relaxed value S - d m (the
     penalty is -m at a feasible binary point)."""
-    fused, frob_const = _fused_pairs(instance)
+    if isinstance(source, Instance):
+        fused, frob_const = _fused_pairs(source)
+    else:
+        fused, frob_const = source.pair_values, source.frob_const
     labels = np.asarray(labels)
-    a, b = instance.pairs.T
+    a, b = source.pairs.T
     pairsum = 2.0 * float(fused[labels[a] == labels[b]].sum())
-    return frob_const + pairsum, pairsum - d * instance.num_elements
+    return frob_const + pairsum, pairsum - d * source.num_elements
 
 
 def frobenius_objective(U: np.ndarray, instance: Instance) -> float:

@@ -106,6 +106,14 @@ class TestProjection:
             assert not (P[Y <= 0.0] > 0.0).any()
             assert P.sum(axis=1).max() <= 1.0
 
+    @pytest.mark.xfail(strict=True, reason="y - tau cancels once ulp(tau) >= 1; shifting "
+                                           "each over-cap row by its max is to fix it")
+    @pytest.mark.parametrize("row", [[1e16, 0.0], [1e200, 3.0]])
+    def test_huge_entry_projects_to_its_vertex(self, row):
+        # tau = (y_0 - 1) / 1 rounds to y_0, so y_0 - tau is 0, not 1, and
+        # the row comes out all zeros
+        np.testing.assert_array_equal(project(np.array([row])), [[1.0, 0.0]])
+
     def test_oracle_extremes(self):
         np.testing.assert_allclose(
             project_row(np.array([-4.0, -1.0, -9.0])),
@@ -174,14 +182,23 @@ class TestProjectionReference:
     def test_matches_sort_every_row(self, X):
         np.testing.assert_array_equal(project(X), project_reference(X))
 
+    @settings(max_examples=300, deadline=None)
+    @given(X=capped_matrices())
+    def test_in_place_matches_a_copy(self, X):
+        # pgd_inner projects its trial buffer onto itself
+        want = project(X.copy())
+        got = project(X, out=X)
+        assert got is X
+        assert got.tobytes() == want.tobytes()
+
     def test_solver_iterates_match_sort_every_row(self, rng, monkeypatch):
         # every matrix the solver projects on a ladder rung and on random
         # instances, whose rows are mostly wide and sparse
         calls = []
 
-        def checking(U):
+        def checking(U, out=None):
             calls.append(np.array_equal(project(U), project_reference(U)))
-            return project(U)
+            return project(U, out=out)
 
         monkeypatch.setattr(solver_module, "project", checking)
         ladder, _ = generate(replace(SWEEP_BASE, universe_size=10, num_sets=5,
@@ -192,7 +209,7 @@ class TestProjectionReference:
 
 
 def search_at_d1(U, direction, data):
-    return armijo_search(U, direction, f0=relaxed_objective(U, data, 1.0),
+    return armijo_search(direction, f0=relaxed_objective(U, data, 1.0),
                          grad=relaxed_gradient(U, data, 1.0),
                          curvature=polarized_curvature(direction, data, 1.0))
 
@@ -204,10 +221,11 @@ class TestArmijo:
         # minimum u = 1
         data = scalar_relaxation()
         U = np.zeros((1, 1))
-        res = search_at_d1(U, np.array([[1.0]]), data)
+        direction = np.array([[1.0]])
+        res = search_at_d1(U, direction, data)
         assert res.accepted
         assert res.alpha == 1.0
-        assert res.point[0, 0] == pytest.approx(1.0)
+        assert (U + res.alpha * direction)[0, 0] == pytest.approx(1.0)
         assert res.value == pytest.approx(-1.0)
 
     def test_step_shrinks_on_overshoot(self):
@@ -216,46 +234,44 @@ class TestArmijo:
         # and the exact step along the quadratic stops at the minimum
         data = scalar_relaxation(abar=3.0)
         U = np.zeros((1, 1))
-        res = search_at_d1(U, np.array([[1.0]]), data)
+        direction = np.array([[1.0]])
+        res = search_at_d1(U, direction, data)
         assert res.accepted
         assert res.alpha == pytest.approx(0.25)
-        assert res.point[0, 0] == pytest.approx(0.25)
+        step = U + res.alpha * direction
+        assert step[0, 0] == pytest.approx(0.25)
         assert res.value == pytest.approx(-0.25)
-        assert relaxed_objective(res.point, data, 1.0) == pytest.approx(-0.25)
+        assert relaxed_objective(step, data, 1.0) == pytest.approx(-0.25)
 
     def test_zero_direction_is_fixed_point(self):
         data = scalar_relaxation()
         U = np.array([[0.4]])
         res = search_at_d1(U, np.zeros((1, 1)), data)
         assert not res.accepted
-        assert res.point is U
+        assert (res.alpha, res.value) == (0.0, relaxed_objective(U, data, 1.0))
 
     def test_exact_step_decreases_by_half_the_slope(self, rng):
         # the exact step along f0 + t g + t^2 q needs no Armijo constant:
         # t = -g / (2 q) gives f0 + t g / 2, and t = 1 needs q <= -g / 2, so
         # every accepted step meets f <= f0 + t g / 2 (up to the rounding of f)
-        U = np.zeros((1, 1))
         for _ in range(2000):
             f0 = float(rng.normal(0.0, 10.0))
             slope = -10.0 ** rng.uniform(-3.0, 2.0)
             curvature = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-3.0, 3.0)
-            res = armijo_search(U, np.ones((1, 1)), f0=f0, grad=np.array([[slope]]),
+            res = armijo_search(np.ones((1, 1)), f0=f0, grad=np.array([[slope]]),
                                 curvature=curvature)
             assert res.accepted
             assert 0.0 < res.alpha <= 1.0
             step = res.alpha * slope
             assert res.value <= f0 + 0.5 * step + 1e-12 * (abs(f0) + abs(step))
-            assert res.point[0, 0] == res.alpha
 
     def test_zero_or_ascent_direction_is_not_accepted(self, rng):
-        U = rng.random((3, 4))
         grad = rng.normal(size=(3, 4))
         for direction in (np.zeros((3, 4)), grad, np.where(grad > 0.0, 1.0, 0.0)):
             for curvature in (-1.0, 0.0, 1.0):
-                res = armijo_search(U, direction, f0=2.0, grad=grad, curvature=curvature)
+                res = armijo_search(direction, f0=2.0, grad=grad, curvature=curvature)
                 assert not res.accepted
                 assert (res.alpha, res.value) == (0.0, 2.0)
-                assert res.point is U
 
 
 class TestInnerLoop:
@@ -352,6 +368,27 @@ class TestOneMatmulIteration:
                     expected = unit_step_reference(before, previous, data, d)
                     step = np.abs(expected - before).max()
                     assert np.abs(after - expected).max() <= 1e-12 + 1e-6 * step
+
+    def test_first_tracked_value_is_the_objective(self, rng, monkeypatch):
+        # a stage seeds its tracked value from M_d U, with no gram; the first
+        # step's f0 is that value, at the projected start
+        seen = []
+
+        def recording(direction, **kwargs):
+            seen.append(kwargs["f0"])
+            return armijo_search(direction, **kwargs)
+
+        monkeypatch.setattr(solver_module, "armijo_search", recording)
+        for _ in range(8):
+            inst = random_instance(rng)
+            data = build_relaxation(inst)
+            m = inst.num_elements
+            U0 = rng.random((m, m)) * (rng.random((m, m)) < rng.uniform(0.1, 1.0))
+            for d in (0.02, 0.5, 4.0):
+                seen.clear()
+                pgd_inner(U0, data, d, SolverConfig(max_inner_iters=1))
+                assert seen == [pytest.approx(relaxed_objective(project(U0), data, d),
+                                              rel=1e-12)]
 
     def test_lone_row_tail_takes_a_spectral_step(self):
         # f(u) = d (u^2 - 2u): unit steps shrink 1 - u by 1 - 2d = 0.96 per
@@ -746,29 +783,32 @@ class TestSolve:
         assert all(b > a for a, b in zip(ds, ds[1:]))
 
 
-# labels, per-stage (inner_iterations, stop, merges, fills), frobenius_value
-# and relaxed_value of seven solves, recorded from this solver: the size
-# ladder at m = 52 (instance seeds 1-3, solver seed 0) and four paper sweep
-# instances whose paths take two stages, a spectral step, 22 iterations, or
-# several merges and fills.  A change meant to leave the descent alone, such
-# as a speed-up, must reproduce them; one that alters the path must update
-# them and say why.  Cases are named ladder-<m>-<instance seed> and
-# sweep-<n_o>-<trial>
+# labels, per-stage (inner_iterations, stop, merges, fills, repr(objective)),
+# frobenius_value and relaxed_value of seven solves, recorded from this
+# solver: the size ladder at m = 52 (instance seeds 1-3, solver seed 0) and
+# four paper sweep instances whose paths take two stages, a spectral step, 22
+# iterations, or several merges and fills.  A change meant to leave the
+# descent alone, such as a speed-up, must reproduce them, each stage's
+# objective to the last bit; one that alters the path must update them and
+# say why.  Cases are named ladder-<m>-<instance seed> and sweep-<n_o>-<trial>
 LADDER_LABELS = tuple(range(11)) + tuple(range(10)) + (11,) + tuple(range(10)) * 3
 PINNED_PATHS = {
-    "ladder-52-1": (LADDER_LABELS, [(9, "tol", 2, 1)],
+    "ladder-52-1": (LADDER_LABELS, [(9, "tol", 2, 1, "-274.94457748079066")],
                     374.6574394200951, -274.94457748079066),
-    "ladder-52-2": (LADDER_LABELS, [(5, "tol", 2, 0)],
+    "ladder-52-2": (LADDER_LABELS, [(5, "tol", 2, 0, "-292.4349897190904")],
                     372.37018082487623, -292.4349897190904),
-    "ladder-52-3": (LADDER_LABELS, [(9, "tol", 3, 2)],
+    "ladder-52-3": (LADDER_LABELS, [(9, "tol", 3, 2, "-256.66022466452966")],
                     391.93425412482605, -256.66022466452966),
-    "sweep-0-11": ((0, 1, 2, 0, 3, 2, 0, 3, 2), [(6, "tol", 0, 1), (6, "tol", 0, 1)],
+    "sweep-0-11": ((0, 1, 2, 0, 3, 2, 0, 3, 2), [(6, "tol", 0, 1, "-21.570441884361703"),
+                                                 (6, "tol", 0, 1, "-23.68201683274261")],
                    10.886245487388862, -23.68201683274261),
-    "sweep-0-23": ((0, 1, 2, 0, 1, 2, 0, 1, 2), [(22, "tol", 1, 0)],
+    "sweep-0-23": ((0, 1, 2, 0, 1, 2, 0, 1, 2), [(22, "tol", 1, 0, "-20.89778675176854")],
                    5.462834878976501, -20.89778675176854),
-    "sweep-2-13": ((0, 1, 2, 3, 0, 1, 2, 4, 0, 1, 2), [(17, "tol", 1, 2)],
+    "sweep-2-13": ((0, 1, 2, 3, 0, 1, 2, 4, 0, 1, 2),
+                   [(17, "tol", 1, 2, "-19.20681914295772")],
                    14.736766503007786, -19.20681914295772),
-    "sweep-2-32": ((0, 1, 2, 3, 0, 1, 2, 4, 0, 5, 2), [(10, "tol", 2, 3)],
+    "sweep-2-32": ((0, 1, 2, 3, 0, 1, 2, 4, 0, 5, 2),
+                   [(10, "tol", 2, 3, "-22.96005366715007")],
                    14.120463524666555, -22.96005366715007),
 }
 
@@ -789,7 +829,8 @@ def test_solver_path_is_pinned(case):
     res = solve(generate(cfg)[0], SolverConfig(rng_seed=solver_seed))
     assert res.converged
     assert res.assignment.labels == labels
-    assert [(s.inner_iterations, s.stop, s.merges, s.fills) for s in res.trace] == stages
+    assert [(s.inner_iterations, s.stop, s.merges, s.fills, repr(s.objective))
+            for s in res.trace] == stages
     assert res.frobenius_value == pytest.approx(frobenius, rel=1e-12)
     assert res.relaxed_value == pytest.approx(relaxed, rel=1e-12)
 
