@@ -9,7 +9,7 @@ float64, so entry i is the pair (a, b) = divmod(key[i], m), global indices
 a < b, with score s[k][i] in modality k.  Pairs whose scores equal the
 default (0.5 across sets, 0 within a set) are not stored, and the entries
 follow Instance's canonical order (ascending keys), so equal instances
-write equal bytes.  write_instance writes the bytes of
+write equal bytes.  write_instance writes to a path the bytes of
 json.dump(..., indent=2) plus a newline, with the hex columns spliced in
 unescaped; it encodes the metadata, the only part that can fail, before it
 opens the file, so a failed encode creates or changes no file, and then
@@ -37,9 +37,11 @@ Any other set of fields is rejected, naming the first missing one.  Runs
 are byte-reproducible for a fixed seed.
 
 Exit codes: 0 success (solve: converged), 2 solve fell back to repair,
-1 error, an allocation that runs out of memory included.  A usage error
-(an unknown subcommand or flag, a missing or mistyped value) exits 2 from
-argparse on every subcommand, before any work.
+1 error, an allocation that runs out of memory included, with one
+"error: ..." line on stderr; a failed check's line names the result file,
+"error: <result>: ...".  A usage error (an unknown subcommand or flag, a
+missing or mistyped value) exits 2 from argparse on every subcommand,
+before any work.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -64,7 +66,7 @@ from .bench import (SWEEP_BASE, SWEEP_OUTLIERS, ablation, format_ablation_table,
 from .core import (Assignment, InfeasibleAssignmentError, Instance,  # noqa: F401
                    InvalidInstanceError, _check_sizes, check_cycle_consistency,
                    check_feasible, pairwise_from_assignment)
-from .oracle import InstanceTooLargeError, OracleConfig, solve_exact
+from .oracle import OracleConfig, solve_exact
 from .relax import _labelling_values
 from .solver import (STOP_REASONS, SolverConfig, SolverResult, StageRecord,
                      penalty_weights, solve)
@@ -92,7 +94,7 @@ SYNTH_BASE = SynthConfig(universe_size=10, num_sets=3)   # fusematch synth's def
 
 
 class FileFormatError(ValueError):
-    """A file failed schema validation; the message names the offender."""
+    """A file failed validation; the message names the file and the offender."""
 
 
 def _load_json(path: str | Path) -> Any:
@@ -182,37 +184,26 @@ def _member(value: Any) -> bytes:
     return json.dumps(value, indent=2).replace("\n", "\n  ").encode("ascii")
 
 
-def _instance_text(instance: Instance, tail: bytes) -> Iterator[bytes]:
-    """The file's text in parts, tail (the encoded metadata member) last;
-    each column is encoded only when its part is asked for, so that writing
-    the parts in turn holds one column at a time."""
-    yield (b'{\n  "set_sizes": ' + _member(list(instance.set_sizes))
-           + b',\n  "modalities": ' + _member(instance.modality_count)
-           + b',\n  "pairs": "')
-    a, b = instance.pairs.T
-    yield _hex(a * instance.num_elements + b, "<i8")
-    for k, column in enumerate(instance.scores.T):
-        yield b'",\n    "' if k else b'",\n  "s": [\n    "'
-        yield _hex(column, "<f8")
-    yield b'"\n  ]' + tail + b"\n}\n"
-
-
-def write_instance(instance: Instance, path: str | Path | None,
+def write_instance(instance: Instance, path: str | Path,
                    metadata: dict | None = None) -> None:
-    """Write the bytes of json.dump(fields, indent=2) plus a newline.  The
-    hex columns are spliced in as they are: their alphabet needs no JSON
-    escape.  The metadata, the only part that can fail, is encoded before
-    the file is opened, so metadata that JSON cannot encode raises without
-    creating or changing a file; then each column is encoded and written in
-    turn."""
+    """Write to path the bytes of json.dump(fields, indent=2) plus a
+    newline.  The hex columns are spliced in as they are: their alphabet
+    needs no JSON escape.  The metadata, the only part that can fail, is
+    encoded before the file is opened, so metadata that JSON cannot encode
+    raises without creating or changing a file; then each column is
+    encoded and written in turn, so one column is held at a time."""
     tail = b"" if metadata is None else b',\n  "metadata": ' + _member(metadata)
-    if path is None:
-        for part in _instance_text(instance, tail):
-            sys.stdout.write(part.decode("ascii"))
-        return
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.writelines(_instance_text(instance, tail))
+        fh.write(b'{\n  "set_sizes": ' + _member(list(instance.set_sizes))
+                 + b',\n  "modalities": ' + _member(instance.modality_count)
+                 + b',\n  "pairs": "')
+        a, b = instance.pairs.T
+        fh.write(_hex(a * instance.num_elements + b, "<i8"))
+        for k, column in enumerate(instance.scores.T):
+            fh.write(b'",\n    "' if k else b'",\n  "s": [\n    "')
+            fh.write(_hex(column, "<f8"))
+        fh.write(b'"\n  ]' + tail + b"\n}\n")
 
 
 def read_truth(path: str | Path) -> GroundTruth:
@@ -306,10 +297,10 @@ def _agree(reported: float, value: float, rtol: float) -> bool:
     return abs(reported - value) <= rtol * max(1.0, abs(reported), abs(value))
 
 
-def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
-    """The first stage of a solver trace that solve cannot have written:
-    it lies past the schedule's last weight, its d is not the schedule's
-    ``penalty_weights`` entry, its inner iterations exceed
+def _check_trace(result: dict, instance: Instance, path: str) -> None:
+    """Raise on the first stage of a solver trace that solve cannot have
+    written: it lies past the schedule's last weight, its d is not the
+    schedule's ``penalty_weights`` entry, its inner iterations exceed
     config.max_inner_iters, its stop reason is "max_iters" while they stay
     under that cap, or another reason while they reach it, or it merged
     or filled more rows than its steps can: each follows an accepted step,
@@ -319,32 +310,34 @@ def _trace_error(result: dict, instance: Instance, path: str) -> str | None:
     the repair runs only after the last one."""
     trace = result["trace"]
     if not trace:
-        return None
+        return
     cap = SolverConfig(**result["config"]).max_inner_iters
     m = instance.num_elements
     weights = list(penalty_weights(instance.modality_count))
     for i, stage in enumerate(trace):
         where = f"{path}: trace[{i}]"
         if i == len(weights):
-            return (f"{where}: past the schedule, which ends after {len(weights)} "
-                    f"penalty weights")
+            raise FileFormatError(f"{where}: past the schedule, which ends after "
+                                  f"{len(weights)} penalty weights")
         if not _agree(stage["d"], weights[i], VALUE_RTOL):
-            return f"{where}: d {stage['d']!r} is not the schedule's {weights[i]!r}"
+            raise FileFormatError(
+                f"{where}: d {stage['d']!r} is not the schedule's {weights[i]!r}")
         steps = stage["inner_iterations"]
         if steps > cap:
-            return f"{where}: inner_iterations {steps} exceeds max_inner_iters {cap}"
+            raise FileFormatError(
+                f"{where}: inner_iterations {steps} exceeds max_inner_iters {cap}")
         if (stage["stop"] == "max_iters") != (steps == cap):
-            return (f"{where}: stop {stage['stop']!r} with {steps} of "
-                    f"max_inner_iters {cap} inner iterations")
+            raise FileFormatError(f"{where}: stop {stage['stop']!r} with {steps} of "
+                                  f"max_inner_iters {cap} inner iterations")
         for count, per_step in (("merges", m // 2), ("fills", m)):
             if stage[count] > steps * per_step:
-                return (f"{where}: {count} {stage[count]} with {steps} inner "
-                        f"iterations, at most {per_step} a step")
+                raise FileFormatError(f"{where}: {count} {stage[count]} with {steps} "
+                                      f"inner iterations, at most {per_step} a step")
     if not result["converged"] and len(trace) < len(weights):
-        return (f"{path}: trace[{len(trace) - 1}]: not converged after {len(trace)} of "
-                f"the schedule's {len(weights)} penalty weights; the repair runs only "
-                f"after the last")
-    return None
+        raise FileFormatError(
+            f"{path}: trace[{len(trace) - 1}]: not converged after {len(trace)} of the "
+            f"schedule's {len(weights)} penalty weights; the repair runs only after "
+            f"the last")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -418,39 +411,36 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    result = read_result(args.result)
+    path = args.result
+    result = read_result(path)
     instance = read_instance(args.instance)
     m = instance.num_elements
     seen: dict[int, int] = {}
     for c, members in enumerate(result["clusters"]):
         if not members:
-            print(f"cluster {c} is empty")
-            return 1
+            raise FileFormatError(f"{path}: cluster {c} is empty")
         for r in members:
             if not 0 <= r < m:
-                print(f"element {r} out of range for {m} elements")
-                return 1
+                raise FileFormatError(f"{path}: element {r} out of range for {m} elements")
             if r in seen:
-                print(f"element {r} appears in clusters {seen[r]} and {c}")
-                return 1
+                raise FileFormatError(
+                    f"{path}: element {r} appears in clusters {seen[r]} and {c}")
             seen[r] = c
     if len(seen) != m:
-        missing = sorted(set(range(m)) - set(seen))
-        print(f"elements missing from clusters: {missing}")
-        return 1
+        covered = np.zeros(m, bool)   # one byte an element; the message lists ten
+        covered[list(seen)] = True
+        missing = np.flatnonzero(~covered)
+        raise FileFormatError(f"{path}: elements missing from clusters: {len(missing)} "
+                              f"of {m}, lowest {missing[:10].tolist()}")
     labels = [seen[r] for r in range(m)]
     try:
         Assignment(labels, instance.set_sizes)
     except InfeasibleAssignmentError as exc:
-        print(f"infeasible clusters: {exc}")
-        return 1
+        raise FileFormatError(f"{path}: infeasible clusters: {exc}") from exc
     # feasible by the line above, and one-hot labels are cycle consistent by construction
     # (tests/test_core.py::TestCycleConsistency::test_random_assignments_are_cycle_consistent)
     if len(result) > 1:   # a complete result: check every number it reports
-        error = _trace_error(result, instance, args.result)
-        if error:
-            print(error)
-            return 1
+        _check_trace(result, instance, path)
         # from the stored pairs, with no m x m array; relaxed at the last
         # stage's d, or at 0 for an empty (oracle) trace
         trace = result["trace"]
@@ -458,14 +448,13 @@ def cmd_check(args: argparse.Namespace) -> int:
                                                trace[-1]["d"] if trace else 0.0)
         for field, value in (("frobenius_value", frobenius), ("relaxed_value", relaxed)):
             if not _agree(result[field], value, VALUE_RTOL):
-                print(f"{field} {result[field]!r} does not match the recomputed {value!r}")
-                return 1
+                raise FileFormatError(f"{path}: {field} {result[field]!r} does not match "
+                                      f"the recomputed {value!r}")
         # a converged solve's last stage ends within BINARY_TOL of its binary output
         last = trace[-1]["objective"] if trace and result["converged"] else None
         if last is not None and not _agree(last, relaxed, STAGE_RTOL):
-            print(f"{args.result}: trace[{len(trace) - 1}]: objective {last!r} "
-                  f"is not the converged solve's relaxed value {relaxed!r}")
-            return 1
+            raise FileFormatError(f"{path}: trace[{len(trace) - 1}]: objective {last!r} "
+                                  f"is not the converged solve's relaxed value {relaxed!r}")
     print("ok: clusters are feasible and cycle consistent")
     return 0
 
@@ -491,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--seed", type=int, default=0, help="solver seed (rng_seed)")
+    p_solve.add_argument("--seed", type=int, default=SolverConfig().rng_seed,
+                         help="solver seed (rng_seed)")
     p_solve.add_argument("--truth", help="truth file; prints precision/recall/F1")
     p_solve.add_argument("--out", help="result file path (default: stdout)")
     p_solve.set_defaults(func=cmd_solve)
@@ -499,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exhaustive exact solve (small instances)")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--out", help="result file path (default: stdout)")
-    p_oracle.add_argument("--max-elements", dest="max_elements", type=int, default=12)
+    p_oracle.add_argument("--max-elements", dest="max_elements", type=int,
+                          default=OracleConfig().max_elements)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_synth = sub.add_parser("synth", help="generate instance/truth files")
@@ -539,8 +530,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, InvalidInstanceError, InfeasibleAssignmentError,
-            InstanceTooLargeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # the package's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:   # numpy's message names the allocation that failed

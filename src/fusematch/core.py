@@ -358,10 +358,6 @@ class PairwiseTable:
 
     __eq__ = _value_eq
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        cut = np.cumsum((0,) + self.set_sizes)
-        return self.match[cut[i]:cut[i + 1], cut[j]:cut[j + 1]]
-
 
 def pairwise_from_assignment(assignment: Assignment) -> PairwiseTable:
     """Cross-set match matrix U U^T induced by an assignment.

@@ -341,7 +341,7 @@ class TestInstanceIO:
         assert path.read_text() == json.dumps(reference, indent=2) + "\n"
         assert read_instance(path) == inst
 
-    def test_write_matches_json_reference_at_scale(self, tmp_path, capsys):
+    def test_write_matches_json_reference_at_scale(self, tmp_path):
         # the io-large shape (m = 502, about 100,000 stored pairs, K = 2) with
         # synth's metadata, so the splice is pinned on a multi-megabyte file
         cfg = SynthConfig(universe_size=100, num_sets=5, modality_count=2,
@@ -361,10 +361,8 @@ class TestInstanceIO:
         text = json.dumps(reference, indent=2) + "\n"
         assert path.read_bytes() == text.encode("ascii")
         assert read_instance(path) == instance
-        write_instance(instance, None, metadata)
-        assert capsys.readouterr().out == text
 
-    def test_unencodable_metadata_writes_nothing(self, instance_file, tmp_path, capsys):
+    def test_unencodable_metadata_writes_nothing(self, instance_file, tmp_path):
         inst_path, _, instance, _ = instance_file
         path = tmp_path / "new" / "instance.json"
         with pytest.raises(TypeError):
@@ -374,14 +372,6 @@ class TestInstanceIO:
         with pytest.raises(TypeError):
             write_instance(instance, inst_path, {"x": object()})
         assert inst_path.read_bytes() == before
-        with pytest.raises(TypeError):
-            write_instance(instance, None, {"x": object()})
-        assert capsys.readouterr().out == ""
-
-    def test_write_to_stdout(self, instance_file, capsys):
-        inst_path, _, instance, _ = instance_file
-        write_instance(instance, None)
-        assert capsys.readouterr().out == inst_path.read_text()
 
     def test_write_makes_parent_directories(self, instance_file, tmp_path):
         inst_path, _, instance, _ = instance_file
@@ -633,11 +623,12 @@ class TestCheckCommand:
         data["relaxed_value"] = 9e9
         out.write_text(json.dumps(data))
         assert main(["check", str(out), str(inst_path)]) == 1
-        assert "frobenius_value -123.0" in capsys.readouterr().out
+        assert capsys.readouterr().err.startswith(f"error: {out}: frobenius_value -123.0 ")
         data["frobenius_value"] = frobenius_value
         out.write_text(json.dumps(data))
         assert main(["check", str(out), str(inst_path)]) == 1
-        assert "relaxed_value 9000000000.0" in capsys.readouterr().out
+        assert capsys.readouterr().err.startswith(
+            f"error: {out}: relaxed_value 9000000000.0 ")
 
     def test_oracle_result_passes(self, tmp_path, capsys):
         cfg = SynthConfig(universe_size=2, num_sets=3, noise_sigma=0.2, rng_seed=3)
@@ -726,7 +717,8 @@ class TestCheckCommand:
         out.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["check", str(out), str(inst_path)]) == 1
-        assert capsys.readouterr().out == f"cluster {len(data['clusters']) - 1} is empty\n"
+        assert capsys.readouterr().err == (
+            f"error: {out}: cluster {len(data['clusters']) - 1} is empty\n")
 
     @pytest.mark.parametrize("field, value, message", [
         ("converged", "yes", "converged: expected true or false"),
@@ -807,8 +799,8 @@ class TestCheckCommand:
         capsys.readouterr()
         assert main(["check", str(out), str(inst_path)]) == 1
         last = f"trace[{len(data['trace']) - 1}]"
-        assert capsys.readouterr().out.startswith(
-            f"{out}: {message.replace('trace[-1]', last)}")
+        assert capsys.readouterr().err.startswith(
+            f"error: {out}: {message.replace('trace[-1]', last)}")
 
     def test_forced_repair_result_passes(self, tmp_path, capsys, forced_repair):
         # the check reads the solver's schedule, so a repaired solve's trace
@@ -876,7 +868,67 @@ class TestCheckCommand:
         data["clusters"] = data["clusters"][1:]
         out.write_text(json.dumps(data))
         assert main(["check", str(out), str(inst_path)]) == 1
-        assert "missing" in capsys.readouterr().out
+        assert "missing" in capsys.readouterr().err
+
+    def test_missing_elements_report_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # the report listed every missing element: 1.4 MB on one line here
+        monkeypatch.chdir(tmp_path)   # short file names, so the line's length is the report's
+        write_instance(Instance((200_000,), 1), "instance.json")
+        Path("result.json").write_text('{"clusters": [[0]]}')
+        assert main(["check", "result.json", "instance.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: result.json: elements missing from clusters: 199999 "
+                                "of 200000, lowest [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]\n")
+        assert len(captured.err.encode()) < 200
+        assert captured.out == ""
+
+
+# one failing invocation of each subcommand, then one of each fault check
+# finds: (argv with {instance}, {result} and {tmp} to fill in, a forge of
+# the solved result file, a fragment of the message)
+FAILURES = {
+    "solve": (["solve", "{tmp}/absent.json"], None, "absent.json"),
+    "oracle": (["oracle", "{instance}", "--max-elements", "1"], None, "capped at 1"),
+    "synth": (["synth", "--out", "{tmp}/synth", "--trials", "0"], None, "trials"),
+    "sweep": (["sweep", "--trials", "0"], None, "trials"),
+    "ablation": (["ablation", "--trials", "0"], None, "trials"),
+    "check": (None, lambda res: res.update(clusters=5), "expected lists of integers"),
+    "empty-cluster": (None, lambda res: res["clusters"].append([]), "is empty"),
+    "out-of-range": (None, lambda res: res["clusters"][0].append(10 ** 6), "out of range"),
+    "repeat": (None, lambda res: res["clusters"][-1].append(res["clusters"][0][0]),
+               "appears in clusters"),
+    "missing": (None, lambda res: res["clusters"].pop(), "missing from clusters"),
+    "infeasible": (None, lambda res: res.update(clusters=[sum(res["clusters"], [])]),
+                   "infeasible clusters"),
+    "off-schedule-d": (None, lambda res: res["trace"][0].update(d=7.0),
+                       "is not the schedule's"),
+    "forged-value": (None, lambda res: res.update(frobenius_value=-123.0),
+                     "does not match the recomputed"),
+    "forged-last-objective": (None, lambda res: res["trace"][-1].update(objective=123456.0),
+                              "is not the converged solve's relaxed value"),
+}
+
+
+@pytest.mark.parametrize("argv, forge, fragment", FAILURES.values(), ids=FAILURES)
+def test_failure_is_one_error_line(argv, forge, fragment, instance_file, tmp_path, capsys):
+    # every failure exits 1 with nothing on stdout and one "error: " line on
+    # stderr; check's faults name the result file
+    inst_path = instance_file[0]
+    result = tmp_path / "result.json"
+    assert main(["solve", str(inst_path), "--out", str(result)]) == 0
+    if forge is not None:
+        data = json.loads(result.read_text())
+        forge(data)
+        result.write_text(json.dumps(data))
+    argv = argv or ["check", "{result}", "{instance}"]
+    capsys.readouterr()
+    assert main([a.format(instance=inst_path, result=result, tmp=tmp_path)
+                 for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {result}: " if forge else "error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert fragment in captured.err
 
 
 def _exit_code(argv) -> int | str | None:

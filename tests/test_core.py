@@ -410,15 +410,13 @@ class TestAssignment:
 
 
 class TestPairwiseTable:
-    def test_block_transpose_for_reversed_order(self):
-        a = Assignment([0, 1, 1, 0], (2, 2))
-        table = pairwise_from_assignment(a)
-        np.testing.assert_array_equal(table.block(1, 0), table.block(0, 1).T)
-
     def test_block_values(self):
+        # block (0, 1) is [[0, 1], [1, 0]], block (1, 0) its transpose and the
+        # within-set blocks zero
         a = Assignment([0, 1, 1, 0], (2, 2))
         table = pairwise_from_assignment(a)
-        np.testing.assert_array_equal(table.block(0, 1), [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(table.match, [[0, 0, 0, 1], [0, 0, 1, 0],
+                                                    [0, 1, 0, 0], [1, 0, 0, 0]])
 
     def test_equality_compares_match(self):
         table = pairwise_from_assignment(Assignment([0, 1, 1, 0], (2, 2)))

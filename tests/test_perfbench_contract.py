@@ -30,6 +30,31 @@ def test_rebound_names_exist():
     assert missing == []
 
 
+def test_every_import_is_used_or_rebound():
+    # an import a module never uses is dead code, unless the tracer rebinds
+    # that name in that module: then the binding is what the tracer wraps
+    import ast
+
+    import fusematch
+
+    rebound = {(module.__name__, attr) for module, attr in _load("tracing").REBIND}
+    unused = []
+    for path in sorted(Path(fusematch.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"fusematch.{path.stem}"
+        unused += [f"{module}.{name}" for name in sorted(imported - used)
+                   if (module, name) not in rebound]
+    assert unused == []
+
+
 def test_install_and_uninstall_restore_originals():
     tracing = _load("tracing")
     originals = {key: getattr(*key) for key in tracing.REBIND}
